@@ -15,13 +15,11 @@ from bwinr import (
     Activation,
     ImageGrid,
     TrainConfig,
-    forward,
     make_task,
     save_image,
     synthetic_scene,
     train,
 )
-from bwinr.training import prepare_inputs
 
 OUT = Path(__file__).parent / "output"
 
@@ -31,9 +29,8 @@ def fit(task, activation, lr, label):
         activation=activation, epochs=400, lr0=lr, decay=0.1,
         width=64, depth=3, seed=0, log_every=100,
     )
-    params, log = train(cfg, task)
-    Y, _ = forward(params, prepare_inputs(cfg, task))
-    recon = ImageGrid(np.clip(Y.reshape(task.render_shape), 0.0, 1.0))
+    _, log = train(cfg, task)
+    recon = ImageGrid(np.clip(log.final_render, 0.0, 1.0))
     save_image(recon, OUT / f"sigrep_{label}.pgm")
     print(f"  {label:8s} psnr = {log.entries[-1].psnr:6.2f} dB "
           f"(loss {log.entries[-1].loss:.2e})")

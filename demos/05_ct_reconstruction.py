@@ -14,14 +14,12 @@ from bwinr import (
     Activation,
     ImageGrid,
     TrainConfig,
-    forward,
     make_task,
     psnr,
     save_image,
     shepp_logan,
     train,
 )
-from bwinr.training import prepare_inputs
 
 OUT = Path(__file__).parent / "output"
 
@@ -40,9 +38,8 @@ def main():
         epochs=800, lr0=2e-3, decay=0.1, width=64, depth=3, seed=0,
         log_every=200,
     )
-    params, log = train(cfg, task)
-    Y, _ = forward(params, prepare_inputs(cfg, task))
-    recon = ImageGrid(np.clip(Y.reshape(task.render_shape), 0.0, 1.0))
+    _, log = train(cfg, task)
+    recon = ImageGrid(np.clip(log.final_render, 0.0, 1.0))
     save_image(recon, OUT / "ct_recon.pgm")
     print("epoch  measurement mse   psnr vs phantom")
     for e in log.entries:

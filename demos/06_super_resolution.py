@@ -13,13 +13,11 @@ from bwinr import (
     Activation,
     ImageGrid,
     TrainConfig,
-    forward,
     make_task,
     save_image,
     synthetic_scene,
     train,
 )
-from bwinr.training import prepare_inputs
 
 OUT = Path(__file__).parent / "output"
 
@@ -36,9 +34,8 @@ def main():
         epochs=600, lr0=3e-3, decay=0.2, width=64, depth=3, seed=0,
         log_every=150,
     )
-    params, log = train(cfg, task)
-    Y, _ = forward(params, prepare_inputs(cfg, task))
-    recon = ImageGrid(np.clip(Y.reshape(task.render_shape), 0.0, 1.0))
+    _, log = train(cfg, task)
+    recon = ImageGrid(np.clip(log.final_render, 0.0, 1.0))
     save_image(recon, OUT / "superres_recon.pgm")
     final = log.entries[-1]
     print(f"low-res input: {task.target.shape[0]}x{task.target.shape[1]}, "

@@ -50,37 +50,21 @@ def _wavelet_fast(u):
     return val, slope
 
 
-try:  # fused single-pass kernel; numpy fallback below is equivalent
-    import numba as _numba
+# Elements per pass of ``_wavelet_scaled``: small enough that the pass's
+# temporaries stay in cache instead of streaming a layer-sized array each.
+_BLOCK = 16384
 
-    @_numba.njit(cache=True, parallel=True)
-    def _wavelet_kernel(z, c, slopes, intercepts, val, der):
-        for i in _numba.prange(z.size):
-            u = c * z[i]
-            s = int(np.floor(2.0 * u))
-            if s < -1:
-                s = -1
-            elif s > 6:
-                s = 6
-            a = slopes[s + 1]
-            val[i] = a * u + intercepts[s + 1]
-            der[i] = c * a
 
-    def _wavelet_scaled(z, c):
-        if z.size < 16384:  # thread-pool overhead dominates small batches
-            val, slope = _wavelet_fast(c * z)
-            return val, c * slope
-        z = np.ascontiguousarray(z)
-        val = np.empty_like(z)
-        der = np.empty_like(z)
-        _wavelet_kernel(z.ravel(), c, _SEG_SLOPE, _SEG_INTERCEPT,
-                        val.ravel(), der.ravel())
-        return val, der
-
-except ImportError:  # pragma: no cover
-    def _wavelet_scaled(z, c):
-        val, slope = _wavelet_fast(c * z)
-        return val, c * slope
+def _wavelet_scaled(z, c):
+    """(psi(c*z), c*psi'(c*z)), evaluated over flat blocks of ``_BLOCK``."""
+    val = np.empty(z.shape)
+    der = np.empty(z.shape)
+    flat_z, flat_val, flat_der = z.reshape(-1), val.reshape(-1), der.reshape(-1)
+    for lo in range(0, flat_z.size, _BLOCK):
+        hi = lo + _BLOCK
+        flat_val[lo:hi], slope = _wavelet_fast(c * flat_z[lo:hi])
+        np.multiply(c, slope, out=flat_der[lo:hi])
+    return val, der
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ CSVs.
 """
 
 import argparse
-import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .errors import (
 from .images import load_image, save_image
 from .network import save_checkpoint
 from .operators import ImageGrid, make_task
-from .training import TrainConfig, train
+from .training import TrainConfig, format_field, parse_field, train
 
 # Per-(task, activation) training defaults: learning rate, scale, decay,
 # epochs, width, depth. Plain relu has no published setting and borrows
@@ -113,12 +113,20 @@ def experiment_config(task_name, args):
     )
 
 
-def _float_str(value):
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return repr(float(value))
+@contextmanager
+def _writing(target):
+    """Report any OSError met while writing ``target`` as ImageIOError (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ImageIOError(f"cannot write {target}: {exc}") from exc
+
+
+def _output_dir(path):
+    out = Path(path)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def write_table(path, header, rows):
@@ -132,11 +140,12 @@ def write_table(path, header, rows):
             elif isinstance(v, (int, np.integer)):
                 cells.append(str(int(v)))
             elif v is None or isinstance(v, float):
-                cells.append(_float_str(v))
+                cells.append(format_field(v))
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with _writing(path):
+        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def read_table(path):
@@ -147,15 +156,10 @@ def read_table(path):
     for ln in lines[1:]:
         row = []
         for cell in ln.split(","):
-            if cell == "":
-                row.append(None)
-            elif cell == "inf":
-                row.append(math.inf)
-            else:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
+            try:
+                row.append(parse_field(cell))
+            except ValueError:
+                row.append(cell)
         rows.append(row)
     return header, rows
 
@@ -181,17 +185,11 @@ def _run_experiment(task_name, args):
     cfg = experiment_config(task_name, args)
     params, log = train(cfg, task)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    from .network import forward  # local import to keep CLI deps obvious
-    from .training import prepare_inputs
-
-    X = prepare_inputs(cfg, task)
-    Y, _ = forward(params, X)
-    recon = ImageGrid(np.clip(Y.reshape(task.render_shape), 0.0, 1.0))
-    save_image(recon, out / "recon.pgm")
-    (out / "log.csv").write_text(log.to_csv(), encoding="ascii")
-    save_checkpoint(params, out / "checkpoint.txt")
+    out = _output_dir(args.out)
+    save_image(ImageGrid(np.clip(log.final_render, 0.0, 1.0)), out / "recon.pgm")
+    with _writing(out):
+        (out / "log.csv").write_text(log.to_csv(), encoding="ascii")
+        save_checkpoint(params, out / "checkpoint.txt")
     _write_variation_report(out / "vnorm.csv", log)
 
     if task_name == "ct":
@@ -227,8 +225,7 @@ def cmd_superres(args):
 
 
 def cmd_conditioning(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     dyadic_rows = []
     for J in range(1, args.j_max + 1):
         report = build_dyadic_gram(J)
@@ -313,8 +310,7 @@ def cmd_vnorm_sweep(args):
     if args.target_loss is None:
         raise ConfigurationError("vnorm-sweep requires --target-loss")
     rows = run_vnorm_sweep(task, cfg, args.c_list, args.target_loss)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     write_table(
         out / "sweep.csv",
         ["c", "seed", "epochs", "loss", "psnr", "vnorm_total"],

@@ -39,7 +39,6 @@ from .errors import (
     UnsupportedActivationError,
 )
 from .linalg import ConditionNumber, condition_number, gershgorin_discs, sym_eigvals
-from .network import forward
 
 VNORM_ATOM_FACTOR = 16.0  # sum of |slope coefficients| of the wavelet's atoms
 
@@ -212,19 +211,20 @@ def build_dyadic_gram(J):
     )
 
 
-def feature_gram_condition(params, X, layer):
+def feature_gram_condition(trace, layer):
     """Condition number of the layer's empirical feature Gram (1/N) Phi Phi^T.
 
-    ``layer`` indexes a hidden layer; row k of Phi holds neuron k's
-    post-activations over the batch ``X``. The 1/N normalization makes the
-    result invariant to the sample count.
+    ``trace`` is the ``ForwardTrace`` of a forward pass over the batch of
+    interest (training passes its own step's trace, so no second forward
+    runs); ``layer`` indexes a hidden layer, and row k of Phi holds neuron
+    k's post-activations ``trace.post[layer][:, k]``. The 1/N
+    normalization makes the result invariant to the sample count.
     """
-    n_hidden = len(params.specs) - 1
+    n_hidden = len(trace.post) - 1
     if not 0 <= layer < n_hidden:
         raise InvalidInputError(
             f"layer {layer} is not a hidden layer (0..{n_hidden - 1})"
         )
-    _, trace = forward(params, X)
     feats = trace.post[layer]
     gram = feats.T @ feats / feats.shape[0]
     return condition_number(gram)

@@ -96,7 +96,6 @@ class ForwardTrace:
     """Per-layer tensors captured by ``forward`` for use in ``backward``."""
 
     inputs: np.ndarray           # (n, in_dim) batch fed to the first layer
-    pre: list                    # (n, out_l) pre-activations per layer
     post: list                   # (n, out_l) post-activations per layer
     deriv: list                  # (n, out_l) activation derivatives per layer
 
@@ -163,14 +162,12 @@ def forward(params, X):
             f"{params.specs[0].in_dim}"
         )
     a = X
-    pre, post, deriv = [], [], []
+    post, deriv = [], []
     for spec, w, b in zip(params.specs, params.weights, params.biases):
-        z = a @ w.T + b
-        a, d = apply(spec.activation, z)
-        pre.append(z)
+        a, d = apply(spec.activation, a @ w.T + b)
         post.append(a)
         deriv.append(d)
-    return a, ForwardTrace(inputs=X, pre=pre, post=post, deriv=deriv)
+    return a, ForwardTrace(inputs=X, post=post, deriv=deriv)
 
 
 def backward(params, trace, dY):
@@ -272,39 +269,54 @@ def save_checkpoint(params, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_checkpoint(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise InvalidInputError(
-            f"{path}: not a {CHECKPOINT_MAGIC} checkpoint"
-        )
-    seed = int(lines[1].split()[1])
-    n_layers = int(lines[2].split()[1])
+def _fields(lines, pos, tag):
+    """Tokens after ``tag`` on line ``pos``."""
+    tokens = lines[pos].split() if pos < len(lines) else []
+    if tokens[:1] != [tag]:
+        raise InvalidInputError(f"expected {tag!r} at line {pos + 1}")
+    return tokens[1:]
+
+
+def _tensor(lines, pos, name, shape):
+    """The finite ``shape`` array headed by 'tensor <name>' on line ``pos``."""
+    if _fields(lines, pos, "tensor") != [name]:
+        raise InvalidInputError(f"expected 'tensor {name}' at line {pos + 1}")
+    rows = lines[pos + 1:pos + 1 + shape[0]]
+    arr = np.array([[float(v) for v in row.split()] for row in rows])
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"tensor {name}: expected {shape} finite values")
+    return arr
+
+
+def _parse_checkpoint(lines):
+    if lines[:1] != [CHECKPOINT_MAGIC]:
+        raise InvalidInputError(f"not a {CHECKPOINT_MAGIC} checkpoint")
+    (seed,) = _fields(lines, 1, "seed")
+    (n_layers,) = _fields(lines, 2, "layers")
     specs = []
-    for i in range(n_layers):
-        _, in_dim, out_dim, kind, scale = lines[3 + i].split()
-        act = Activation(kind, None if scale == "-" else float(scale))
-        specs.append(LayerSpec(int(in_dim), int(out_dim), act))
-    pos = 3 + n_layers
+    for i in range(int(n_layers)):
+        in_dim, out_dim, kind, scale = _fields(lines, 3 + i, "layer")
+        scale = None if scale == "-" else float(scale)
+        if scale is not None and not np.isfinite(scale):
+            raise InvalidInputError(f"non-finite scale at line {4 + i}")
+        specs.append(LayerSpec(int(in_dim), int(out_dim), Activation(kind, scale)))
+    specs = _validate_specs(specs)
+    pos = 3 + len(specs)
     weights, biases = [], []
     for l, spec in enumerate(specs):
-        if lines[pos] != f"tensor W{l}":
-            raise InvalidInputError(f"{path}: expected 'tensor W{l}' at line {pos + 1}")
-        pos += 1
-        w = np.array(
-            [[float(v) for v in lines[pos + r].split()] for r in range(spec.out_dim)]
-        )
-        pos += spec.out_dim
-        if lines[pos] != f"tensor b{l}":
-            raise InvalidInputError(f"{path}: expected 'tensor b{l}' at line {pos + 1}")
-        pos += 1
-        b = np.array([float(v) for v in lines[pos].split()])
-        pos += 1
-        if w.shape != (spec.out_dim, spec.in_dim) or b.shape != (spec.out_dim,):
-            raise InvalidInputError(f"{path}: tensor shape mismatch in layer {l}")
-        weights.append(w)
-        biases.append(b)
-    return NetworkParams(
-        specs=tuple(specs), weights=weights, biases=biases, seed=seed
-    )
+        weights.append(_tensor(lines, pos, f"W{l}", (spec.out_dim, spec.in_dim)))
+        pos += 1 + spec.out_dim
+        biases.append(_tensor(lines, pos, f"b{l}", (1, spec.out_dim))[0])
+        pos += 2
+    if pos != len(lines):
+        raise InvalidInputError(f"unexpected content at line {pos + 1}")
+    return NetworkParams(specs=specs, weights=weights, biases=biases, seed=int(seed))
+
+
+def load_checkpoint(path):
+    """Read a ``save_checkpoint`` file; malformed content is InvalidInputError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return _parse_checkpoint(fh.read().splitlines())
+    except ValueError as exc:  # also ConfigurationError, UnicodeDecodeError
+        raise InvalidInputError(f"{path}: {exc}") from exc

@@ -158,7 +158,8 @@ class LogEntry:
     feat_cond_floored: bool | None = None
 
 
-def _field_str(value):
+def format_field(value):
+    """CSV cell for an optional float: '' for None, 'inf', else repr."""
     if value is None:
         return ""
     if isinstance(value, float) and math.isinf(value):
@@ -166,7 +167,8 @@ def _field_str(value):
     return repr(float(value))
 
 
-def _field_parse(text):
+def parse_field(text):
+    """Inverse of ``format_field``; raises ValueError on other text."""
     if text == "":
         return None
     if text == "inf":
@@ -176,18 +178,21 @@ def _field_parse(text):
 
 @dataclass
 class TrainLog:
+    """Logged diagnostics; ``final_render`` (never in CSV) is the last state's."""
+
     entries: list = field(default_factory=list)
+    final_render: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_csv(self):
         lines = [LOG_CSV_HEADER]
         for e in self.entries:
             lines.append(",".join([
                 str(e.epoch),
-                _field_str(e.loss),
-                _field_str(e.psnr),
-                _field_str(e.lr),
-                _field_str(e.vnorm_total),
-                _field_str(e.feat_cond),
+                format_field(e.loss),
+                format_field(e.psnr),
+                format_field(e.lr),
+                format_field(e.vnorm_total),
+                format_field(e.feat_cond),
             ]))
         return "\n".join(lines) + "\n"
 
@@ -201,11 +206,11 @@ class TrainLog:
             epoch, loss, snr, lr, vnorm, cond = ln.split(",")
             log.entries.append(LogEntry(
                 epoch=int(epoch),
-                loss=_field_parse(loss),
-                psnr=_field_parse(snr),
-                lr=_field_parse(lr),
-                vnorm_total=_field_parse(vnorm),
-                feat_cond=_field_parse(cond),
+                loss=parse_field(loss),
+                psnr=parse_field(snr),
+                lr=parse_field(lr),
+                vnorm_total=parse_field(vnorm),
+                feat_cond=parse_field(cond),
             ))
         return log
 
@@ -234,7 +239,7 @@ def _loss_and_rendered(params, X, task):
     return loss, resid, rendered, trace
 
 
-def _diagnostics_entry(cfg, task, params, epoch, loss, lr, rendered):
+def _diagnostics_entry(cfg, task, params, trace, epoch, loss, lr, rendered):
     snr = None
     if task.reference is not None:
         snr = psnr(task.reference, rendered)
@@ -250,8 +255,7 @@ def _diagnostics_entry(cfg, task, params, epoch, loss, lr, rendered):
         layer = cfg.feature_layer
         if layer is None:
             layer = len(params.specs) - 2
-        X = prepare_inputs(cfg, task)
-        cond = feature_gram_condition(params, X, layer)
+        cond = feature_gram_condition(trace, layer)
         feat, floored = cond.value, cond.floored
     return LogEntry(
         epoch=epoch, loss=loss, psnr=snr, lr=lr,
@@ -263,39 +267,35 @@ def _diagnostics_entry(cfg, task, params, epoch, loss, lr, rendered):
 def train(cfg, task):
     """Run the configured fit against ``task``; returns (params, log).
 
-    Deterministic in ``cfg.seed``. Diagnostics are logged every
-    ``cfg.diagnostic_period`` epochs and once more at the final state.
+    Deterministic in ``cfg.seed``. Each state runs one ``forward``, whose
+    trace serves loss, backward and diagnostics (feature-Gram kappa too).
+    Diagnostics are logged every ``cfg.diagnostic_period`` epochs and at
+    the final state, reached after ``cfg.epochs`` steps or at the first
+    loss <= ``cfg.target_loss``; its rendering is ``log.final_render``.
     Raises DivergenceError (log attached) if the loss blows past 1e12.
     """
     params, X = build_network(cfg, task)
     state = init_adam_state(params)
     log = TrainLog()
     period = cfg.diagnostic_period
-    epochs_run = 0
-    for t in range(cfg.epochs):
+    for t in range(cfg.epochs + 1):
         loss, resid, rendered, trace = _loss_and_rendered(params, X, task)
         if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
             raise DivergenceError(
                 f"loss diverged at epoch {t}: {loss:.3e}", log=log
             )
         lr = lr_at(cfg, t)
-        if t % period == 0:
-            log.entries.append(
-                _diagnostics_entry(cfg, task, params, t, loss, lr, rendered)
-            )
-        if cfg.target_loss is not None and loss <= cfg.target_loss:
-            break
+        final = t == cfg.epochs or (
+            cfg.target_loss is not None and loss <= cfg.target_loss
+        )
+        if final or t % period == 0:
+            log.entries.append(_diagnostics_entry(
+                cfg, task, params, trace, t, loss, lr, rendered
+            ))
+        if final:
+            log.final_render = rendered
+            return params, log
         d_rendered = task.operator.vjp((2.0 / resid.size) * resid)
         grads = backward(params, trace, d_rendered.reshape(-1, 1))
+        del trace  # free it before the next forward allocates another
         params, state = adam_step(params, grads, state, lr, cfg.weight_decay)
-        epochs_run = t + 1
-    loss, _, rendered, _ = _loss_and_rendered(params, X, task)
-    if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
-        raise DivergenceError(
-            f"loss diverged at epoch {epochs_run}: {loss:.3e}", log=log
-        )
-    if not log.entries or log.entries[-1].epoch != epochs_run:
-        log.entries.append(_diagnostics_entry(
-            cfg, task, params, epochs_run, loss, lr_at(cfg, epochs_run), rendered
-        ))
-    return params, log

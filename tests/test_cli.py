@@ -167,6 +167,27 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("command", [
+        ["conditioning", "--j-max", "2", "--k-list", "8"],
+        ["fit", "--image", "scene:8", "--epochs", "1", "--width", "4",
+         "--layers", "1"],
+    ], ids=["conditioning", "fit"])
+    def test_out_under_a_file_is_io_error(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run(command + ["--out", str(blocker / "sub")])
+        assert code == 2
+        assert "i/o error" in capsys.readouterr().err
+
+    def test_unwritable_output_file_is_io_error(self, tmp_path):
+        out = tmp_path / "o"
+        (out / "log.csv").mkdir(parents=True)
+        code = run([
+            "fit", "--image", "scene:8", "--epochs", "1", "--width", "4",
+            "--layers", "1", "--out", str(out),
+        ])
+        assert code == 2
+
     def test_divergence_is_numerical_failure(self, tmp_path):
         code = run([
             "fit", "--image", "scene:12", "--act", "relu",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bwinr import (
     Activation,
@@ -202,8 +204,7 @@ class TestGradCheck:
         p = init_network(mlp_specs([2, 8, 1], Activation("relu")), 4)
         rng = np.random.default_rng(5)
         X = rng.uniform(-1, 1, (200, 2))
-        _, trace = forward(p, X)
-        clear = np.all(np.abs(trace.pre[0]) > 1e-3, axis=1)
+        clear = np.all(np.abs(X @ p.weights[0].T + p.biases[0]) > 1e-3, axis=1)
         X = X[clear][:40]
         T = np.random.default_rng(6).standard_normal((X.shape[0], 1))
         assert grad_check(p, X, T) <= 1e-5
@@ -284,3 +285,59 @@ class TestCheckpoint:
         path.write_text("NOTBWINR\n")
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
+
+    def test_truncated_after_layers_line_rejected(self, tmp_path):
+        path = tmp_path / "cut.txt"
+        path.write_text("BWINR1\nseed 0\nlayers 2\n")
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+    def test_bad_weight_rejected(self, tmp_path, bad):
+        p = init_network(mlp_specs([2, 3, 1], BW3), 0)
+        path = tmp_path / "net.txt"
+        save_checkpoint(p, path)
+        lines = path.read_text().splitlines()
+        row = lines.index("tensor W0") + 1
+        lines[row] = " ".join([bad] + lines[row].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(path)
+
+    def test_trailing_content_rejected(self, tmp_path):
+        p = init_network(mlp_specs([1, 2, 1], BW3), 0)
+        path = tmp_path / "net.txt"
+        save_checkpoint(p, path)
+        path.write_text(path.read_text() + "1.0\n")
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(path)
+
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        activation=st.sampled_from(
+            [BW3, Activation("relu"), Activation("sine", 30.0)]
+        ),
+        seed=st.integers(0, 2**40),
+    )
+    def test_every_line_prefix_loads_equal_or_is_rejected(
+        self, tmp_path, sizes, activation, seed
+    ):
+        p = init_network(mlp_specs(sizes, activation), seed)
+        path = tmp_path / "net.txt"
+        save_checkpoint(p, path)
+        lines = path.read_text().splitlines(keepends=True)
+        for k in range(len(lines) + 1):
+            path.write_text("".join(lines[:k]))
+            try:
+                q = load_checkpoint(path)
+            except InvalidInputError:
+                assert k < len(lines)
+                continue
+            assert k == len(lines)
+            assert (q.seed, q.specs) == (p.seed, p.specs)
+            for a, b in zip(p.weights + p.biases, q.weights + q.biases):
+                assert np.array_equal(a, b)

@@ -1,8 +1,11 @@
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
+import bwinr.network
 from bwinr import (
     Activation,
     ConfigurationError,
@@ -22,7 +25,7 @@ from bwinr import (
     train,
     univariate_benchmark,
 )
-from bwinr.training import LOG_CSV_HEADER, LogEntry
+from bwinr.training import LOG_CSV_HEADER, LogEntry, prepare_inputs
 
 
 def small_cfg(**kw):
@@ -236,6 +239,64 @@ class TestTrainLoop:
             small_cfg(epochs=-1)
         with pytest.raises(ConfigurationError):
             small_cfg(weight_decay=-0.1)
+
+
+def _count_forwards(monkeypatch):
+    """Count calls to ``network.forward`` through every binding in the package.
+
+    Each call also asserts that no earlier call's trace is still alive, so
+    training holds at most one ForwardTrace at a time.
+    """
+    real = bwinr.network.forward
+    traces = []
+
+    def counted(params, X):
+        assert all(ref() is None for ref in traces), "an old trace is alive"
+        Y, trace = real(params, X)
+        traces.append(weakref.ref(trace))
+        return Y, trace
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bwinr" and getattr(module, "forward", None) is real:
+            monkeypatch.setattr(module, "forward", counted)
+    return traces
+
+
+class TestOneForwardPerState:
+    @pytest.mark.parametrize("kw", [
+        dict(epochs=7, log_every=3),
+        dict(epochs=2000, lr0=1e-2, width=32, target_loss=1e-2, log_every=100),
+        dict(epochs=0),
+    ], ids=["full", "early-stop", "zero-epochs"])
+    def test_forward_calls_with_condition_tracking(self, monkeypatch, kw):
+        cfg = small_cfg(track_feature_condition=True, **kw)
+        calls = _count_forwards(monkeypatch)
+        _, log = train(cfg, quadratic_task())
+        epochs_run = log.entries[-1].epoch
+        if cfg.target_loss is not None:
+            assert epochs_run < cfg.epochs
+        else:
+            assert epochs_run == cfg.epochs
+        assert len(calls) == epochs_run + 1
+        assert all(e.feat_cond is not None for e in log.entries)
+
+    @pytest.mark.parametrize("task_name, kw", [
+        ("sigrep", dict(epochs=5)),
+        ("sigrep", dict(epochs=300, lr0=1e-2, target_loss=0.05, log_every=50)),
+        ("superres", dict(epochs=3, activation=Activation("relu"), pe_levels=3)),
+        ("ct", dict(epochs=0)),
+    ])
+    def test_final_render_is_the_final_state(self, task_name, kw):
+        img = ImageGrid(np.random.default_rng(0).uniform(0, 1, (8, 8)))
+        extra = {"factor": 2} if task_name == "superres" else {}
+        task = make_task(task_name, img, **extra)
+        cfg = small_cfg(width=8, depth=2, **kw)
+        params, log = train(cfg, task)
+        Y, _ = bwinr.network.forward(params, prepare_inputs(cfg, task))
+        expected = Y.reshape(task.render_shape)
+        assert log.final_render.shape == expected.shape
+        assert log.final_render.tobytes() == expected.tobytes()
+        assert TrainLog.from_csv(log.to_csv()).final_render is None
 
 
 class TestTrainLogCsv:
