@@ -187,8 +187,9 @@ def _run_experiment(task_name, args):
 
     out = _output_dir(args.out)
     save_image(ImageGrid(np.clip(log.final_render, 0.0, 1.0)), out / "recon.pgm")
-    with _writing(out):
+    with _writing(out / "log.csv"):
         (out / "log.csv").write_text(log.to_csv(), encoding="ascii")
+    with _writing(out / "checkpoint.txt"):
         save_checkpoint(params, out / "checkpoint.txt")
     _write_variation_report(out / "vnorm.csv", log)
 

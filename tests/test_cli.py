@@ -179,14 +179,16 @@ class TestExitCodes:
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
 
-    def test_unwritable_output_file_is_io_error(self, tmp_path):
+    @pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt"])
+    def test_unwritable_output_file_is_io_error(self, tmp_path, capsys, name):
         out = tmp_path / "o"
-        (out / "log.csv").mkdir(parents=True)
+        (out / name).mkdir(parents=True)
         code = run([
             "fit", "--image", "scene:8", "--epochs", "1", "--width", "4",
             "--layers", "1", "--out", str(out),
         ])
         assert code == 2
+        assert f"cannot write {out / name}:" in capsys.readouterr().err
 
     def test_divergence_is_numerical_failure(self, tmp_path):
         code = run([

@@ -24,7 +24,6 @@ from bwinr import (
     variation_norm_deep,
     variation_norm_shallow,
 )
-from bwinr.linalg import condition_number
 
 # Same-scale wavelet overlap integrals (2/3) * int psi(t) psi(t - k) dt.
 C1 = 0.030864
@@ -224,17 +223,6 @@ class TestDyadicGram:
         assert max(kappas) <= 2.38
 
 
-def _feature_condition(p, X, layer):
-    """κ from the trace of one forward, checked bitwise against the Gram of
-    that trace's post-activations (the value a second forward gave)."""
-    _, trace = forward(p, X)
-    cond = feature_gram_condition(trace, layer)
-    feats = trace.post[layer]
-    ref = condition_number(feats.T @ feats / feats.shape[0])
-    assert (cond.value, cond.floored) == (ref.value, ref.floored)
-    return cond
-
-
 class TestFeatureGram:
     def test_orthonormal_features(self):
         # identity hidden layer passing through orthonormal columns
@@ -247,7 +235,7 @@ class TestFeatureGram:
         n = 400
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((n, 4)))
-        cond = _feature_condition(p, q * np.sqrt(n), 0)
+        cond = feature_gram_condition(forward(p, q * np.sqrt(n))[1], 0)
         assert cond.value == pytest.approx(1.0, rel=1e-9)
         assert not cond.floored
 
@@ -257,7 +245,7 @@ class TestFeatureGram:
         p.weights[0][:] = 1.0
         p.biases[0][:] = 0.0
         X = np.linspace(-1, 1, 200).reshape(-1, 1)
-        cond = _feature_condition(p, X, 0)
+        cond = feature_gram_condition(forward(p, X)[1], 0)
         assert cond.floored
 
     def test_dyadic_network_matches_integral_gram(self):
@@ -280,7 +268,7 @@ class TestFeatureGram:
         p.weights[1] = np.diag([2.0 ** (j / 2.0) for j, _ in system])
         p.biases[1] = np.zeros(K)
         X = np.linspace(-1.0, 1.0, 8001).reshape(-1, 1)
-        cond = _feature_condition(p, X, 1)
+        cond = feature_gram_condition(forward(p, X)[1], 1)
         exact = build_dyadic_gram(J).condition.value
         assert cond.value == pytest.approx(exact, rel=0.10)
 

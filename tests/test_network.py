@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from bwinr import (
     Activation,
@@ -311,33 +309,3 @@ class TestCheckpoint:
         path.write_text(path.read_text() + "1.0\n")
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
-
-    @settings(
-        max_examples=30, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
-        activation=st.sampled_from(
-            [BW3, Activation("relu"), Activation("sine", 30.0)]
-        ),
-        seed=st.integers(0, 2**40),
-    )
-    def test_every_line_prefix_loads_equal_or_is_rejected(
-        self, tmp_path, sizes, activation, seed
-    ):
-        p = init_network(mlp_specs(sizes, activation), seed)
-        path = tmp_path / "net.txt"
-        save_checkpoint(p, path)
-        lines = path.read_text().splitlines(keepends=True)
-        for k in range(len(lines) + 1):
-            path.write_text("".join(lines[:k]))
-            try:
-                q = load_checkpoint(path)
-            except InvalidInputError:
-                assert k < len(lines)
-                continue
-            assert k == len(lines)
-            assert (q.seed, q.specs) == (p.seed, p.specs)
-            for a, b in zip(p.weights + p.biases, q.weights + q.biases):
-                assert np.array_equal(a, b)
