@@ -45,7 +45,6 @@ from .linalg import (
     ConditionNumber,
     condition_number,
     gershgorin_discs,
-    matmul,
     sym_eigvals,
 )
 from .network import (
@@ -63,6 +62,7 @@ from .network import (
     save_checkpoint,
 )
 from .operators import (
+    Downsample,
     ForwardTask,
     ImageGrid,
     RadonTransform,
@@ -70,13 +70,10 @@ from .operators import (
     ct_angles,
     default_detectors,
     downsample,
-    downsample_vjp,
     grid_coords,
     make_signal_task,
     make_task,
     radon,
-    radon_operator,
-    radon_vjp,
 )
 from .training import (
     AdamState,

@@ -8,7 +8,7 @@ target used to expose the spectral bias of plain ReLU fits.
 
 import numpy as np
 
-from .operators import ImageGrid
+from .operators import ImageGrid, grid_coords
 
 # Modified (high-contrast) Shepp-Logan ellipses:
 # (amplitude, semi-axis a, semi-axis b, center x, center y, rotation deg)
@@ -26,17 +26,11 @@ _SHEPP_LOGAN_ELLIPSES = [
 ]
 
 
-def _pixel_grid(h, w):
-    x = -1.0 + (2.0 * np.arange(w) + 1.0) / w
-    y = -1.0 + (2.0 * np.arange(h) + 1.0) / h
-    return np.meshgrid(x, y)
-
-
 def shepp_logan(h, w=None):
     """Modified Shepp-Logan head phantom, intensities clipped to [0, 1]."""
     if w is None:
         w = h
-    xx, yy = _pixel_grid(h, w)
+    xx, yy = grid_coords(h, w).T.reshape(2, h, w)
     img = np.zeros((h, w))
     for amp, a, b, x0, y0, deg in _SHEPP_LOGAN_ELLIPSES:
         th = np.deg2rad(deg)
@@ -55,7 +49,7 @@ def synthetic_scene(h, w=None):
     """
     if w is None:
         w = h
-    xx, yy = _pixel_grid(h, w)
+    xx, yy = grid_coords(h, w).T.reshape(2, h, w)
     img = 0.35 + 0.25 * xx + 0.15 * yy
 
     # hard-edged disk and bar

@@ -272,10 +272,11 @@ def cmd_conditioning(args):
         ["K", "lambda_min", "lambda_max", "kappa", "floored"],
         relu_rows,
     )
-    kappas = [r[3] for r in relu_rows]
-    if len(kappas) >= 2:
-        slope = np.polyfit(np.log([r[0] for r in relu_rows]), np.log(kappas), 1)[0]
-        print(f"relu gram: log-log kappa slope {slope:.3f} over K={args.k_list}")
+    if len(relu_rows) >= 2:
+        logs = np.log([[r[0], r[1], r[3]] for r in relu_rows])
+        lam_slope, kappa_slope = np.polyfit(logs[:, 0], logs[:, 1:], 1)[0]
+        print(f"relu gram: log-log lambda_min slope {lam_slope:.3f}, "
+              f"kappa slope {kappa_slope:.3f} over K={args.k_list}")
     print(f"dyadic gram: max kappa {max(r[4] for r in dyadic_rows):.4f} "
           f"for J<={args.j_max} -> {out}")
     return 0

@@ -44,6 +44,8 @@ def _load_pgm(path):
         width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
     except ValueError as exc:
         raise ImageIOError(f"{path}: malformed PGM header near byte {pos}: {exc}")
+    if width < 1 or height < 1:
+        raise ImageIOError(f"{path}: PGM dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise ImageIOError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -22,24 +22,13 @@ COND_FLOOR_REL = 1e-14
 SYM_TOL_DEFAULT = 1e-10
 
 
-def _as_matrix(a, name="matrix"):
+def _as_matrix(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
+        raise ShapeError(f"matrix must be 2-D, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
+        raise InvalidInputError("matrix contains non-finite entries")
     return a
-
-
-def matmul(a, b):
-    """Matrix product with explicit shape validation."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions differ: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def sym_eigvals(a, tol=SYM_TOL_DEFAULT):

@@ -10,13 +10,16 @@ The Radon transform is parallel-beam: for each angle theta in [0, pi) and
 each detector offset s in [-sqrt(2), sqrt(2)], the line integral of the
 bilinearly interpolated image along the ray through s*(cos t, sin t) with
 direction (-sin t, cos t), discretized by a uniform-step quadrature of one
-pixel spacing. For desk-scale geometries the sampling pattern is assembled
-once into a sparse matrix (making the adjoint exact by construction);
-larger geometries evaluate the identical entries angle by angle.
+pixel spacing. The sampling pattern is assembled once into a sparse matrix,
+which makes the adjoint exact by construction.
+
+Every task operator is one object with the same protocol: ``apply`` maps a
+rendered image to the measurements, ``vjp`` maps a measurement-shaped
+cotangent back to the image (the exact adjoint of ``apply``), and
+``out_shape`` is the shape of the measurements.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -90,55 +93,63 @@ def grid_coords(h, w):
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+class Downsample:
+    """f x f block averaging of an h x w image, as a task operator."""
+
+    def __init__(self, h, w, f):
+        if f < 1:
+            raise ConfigurationError(f"downsampling factor must be >= 1, got {f}")
+        if h % f or w % f:
+            raise ShapeError(f"{h}x{w} image not divisible by factor {f}")
+        self.f = f
+        self.out_shape = (h // f, w // f)
+
+    def apply(self, rendered):
+        (h, w), f = self.out_shape, self.f
+        blocks = np.asarray(rendered, dtype=float).reshape(h, f, w, f)
+        return blocks.mean(axis=(1, 3))
+
+    def vjp(self, cotangent):
+        """Spread each block mean's weight back out over its block."""
+        cot = np.asarray(cotangent, dtype=float)
+        return np.kron(cot, np.full((self.f, self.f), 1.0 / (self.f * self.f)))
+
+
 def downsample(img, f):
     """f x f block averaging."""
-    px = img.pixels
-    h, w = px.shape
-    if h % f or w % f:
-        raise ShapeError(f"{h}x{w} image not divisible by factor {f}")
-    blocks = px.reshape(h // f, f, w // f, f)
-    return ImageGrid(blocks.mean(axis=(1, 3)))
-
-
-def downsample_vjp(cotangent, f):
-    """Adjoint of ``downsample``: spread each block mean's weight back out."""
-    cot = np.asarray(cotangent, dtype=float)
-    return np.kron(cot, np.full((f, f), 1.0 / (f * f)))
+    return ImageGrid(Downsample(img.height, img.width, f).apply(img.pixels))
 
 
 class RadonTransform:
-    """Parallel-beam Radon operator for a fixed geometry.
+    """Parallel-beam Radon operator for a fixed geometry, as a task operator.
 
-    ``apply`` integrates the bilinearly interpolated image along every
-    (angle, offset) ray; ``adjoint`` is the exact transpose of that linear
-    map. Geometries small enough to store are compiled to one CSR matrix.
+    ``apply`` integrates the bilinearly interpolated h x w image along every
+    (angle, offset) ray; ``vjp`` is the exact transpose of that linear map;
+    ``out_shape`` is (number of angles, detectors). The sampling pattern is
+    compiled once into the CSR ``matrix``.
     """
-
-    # Cap on stored sparse entries (~1 GB working set); larger geometries
-    # are evaluated angle by angle from the same entry generator.
-    MAX_STORED_NNZ = 60_000_000
 
     def __init__(self, h, w, angles, detectors):
         if detectors < 1:
             raise ConfigurationError(f"detectors must be >= 1, got {detectors}")
         angles = np.asarray(angles, dtype=float)
+        if angles.size < 1:
+            raise ConfigurationError("the Radon transform needs >= 1 angle")
         self.h, self.w = int(h), int(w)
         self.angles = angles
         self.detectors = int(detectors)
+        self.out_shape = (angles.size, self.detectors)
         half = np.sqrt(2.0)
         self.offsets = -half + (2.0 * np.arange(detectors) + 1.0) * half / detectors
         step = 2.0 / max(self.h, self.w)  # one pixel spacing
         n_steps = int(np.ceil(2.0 * half / step))
         self.dt = 2.0 * half / n_steps
         self.t = -half + (np.arange(n_steps) + 0.5) * self.dt
-        nnz_estimate = angles.size * detectors * n_steps * 4
-        self.matrix = None
-        if nnz_estimate <= self.MAX_STORED_NNZ:
-            blocks = [self._angle_matrix(i) for i in range(angles.size)]
-            self.matrix = sparse.vstack(blocks, format="csr")
+        blocks = [self._angle_block(i) for i in range(angles.size)]
+        self.matrix = sparse.vstack(blocks, format="csr")
 
-    def _angle_entries(self, idx):
-        """Sparse entries of one angle's block: (detector row, pixel col, weight)."""
+    def _angle_block(self, idx):
+        """One angle's rows of the matrix: detectors x (h*w) in CSR."""
         h, w = self.h, self.w
         theta = self.angles[idx]
         cos, sin = np.cos(theta), np.sin(theta)
@@ -170,13 +181,9 @@ class RadonTransform:
         weights = self.dt * np.concatenate([
             (1 - fv) * (1 - fu), (1 - fv) * fu, fv * (1 - fu), fv * fu,
         ])
-        return np.tile(rows, 4), cols, weights
-
-    def _angle_matrix(self, idx):
-        rows, cols, weights = self._angle_entries(idx)
         return sparse.coo_matrix(
-            (weights, (rows, cols)),
-            shape=(self.detectors, self.h * self.w),
+            (weights, (np.tile(rows, 4), cols)),
+            shape=(self.detectors, h * w),
         ).tocsr()
 
     def apply(self, pixels):
@@ -185,55 +192,21 @@ class RadonTransform:
             raise ShapeError(
                 f"image size {flat.size} != {self.h}x{self.w} geometry"
             )
-        if self.matrix is not None:
-            out = self.matrix @ flat
-            return out.reshape(self.angles.size, self.detectors)
-        out = np.empty((self.angles.size, self.detectors))
-        for idx in range(self.angles.size):
-            rows, cols, weights = self._angle_entries(idx)
-            out[idx] = np.bincount(
-                rows, weights=weights * flat[cols], minlength=self.detectors
-            )
-        return out
+        return (self.matrix @ flat).reshape(self.out_shape)
 
-    def adjoint(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.angles.size, self.detectors):
+    def vjp(self, cotangent):
+        values = np.asarray(cotangent, dtype=float)
+        if values.shape != self.out_shape:
             raise ShapeError(
-                f"sinogram shape {values.shape} != "
-                f"({self.angles.size}, {self.detectors})"
+                f"sinogram shape {values.shape} != {self.out_shape}"
             )
-        if self.matrix is not None:
-            out = self.matrix.T @ values.ravel()
-            return out.reshape(self.h, self.w)
-        out = np.zeros(self.h * self.w)
-        for idx in range(self.angles.size):
-            rows, cols, weights = self._angle_entries(idx)
-            np.add.at(out, cols, weights * values[idx, rows])
-        return out.reshape(self.h, self.w)
-
-
-@lru_cache(maxsize=8)
-def _cached_radon(h, w, angles_key, detectors):
-    return RadonTransform(h, w, np.array(angles_key), detectors)
-
-
-def radon_operator(h, w, angles, detectors):
-    """Shared (cached) RadonTransform for a geometry."""
-    angles = np.asarray(angles, dtype=float)
-    return _cached_radon(int(h), int(w), tuple(angles.tolist()), int(detectors))
+        return (self.matrix.T @ values.ravel()).reshape(self.h, self.w)
 
 
 def radon(img, angles, detectors):
     """Parallel-beam sinogram of ``img``."""
-    op = radon_operator(img.height, img.width, angles, detectors)
+    op = RadonTransform(img.height, img.width, angles, detectors)
     return Sinogram(angles=op.angles, values=op.apply(img.pixels))
-
-
-def radon_vjp(cotangent, angles, detectors, h, w):
-    """Exact adjoint of ``radon`` applied to a sinogram-shaped cotangent."""
-    op = radon_operator(h, w, angles, detectors)
-    return op.adjoint(cotangent)
 
 
 class _IdentityOp:
@@ -247,38 +220,16 @@ class _IdentityOp:
         return cotangent
 
 
-class _DownsampleOp:
-    def __init__(self, h, w, f):
-        self.f = f
-        self.out_shape = (h // f, w // f)
-
-    def apply(self, rendered):
-        return downsample(ImageGrid(rendered), self.f).pixels
-
-    def vjp(self, cotangent):
-        return downsample_vjp(cotangent, self.f)
-
-
-class _RadonOp:
-    def __init__(self, h, w, angles, detectors):
-        self.op = radon_operator(h, w, angles, detectors)
-        self.out_shape = (len(angles), detectors)
-
-    def apply(self, rendered):
-        return self.op.apply(rendered)
-
-    def vjp(self, cotangent):
-        return self.op.adjoint(cotangent)
-
-
 @dataclass
 class ForwardTask:
     """Everything the training loop needs to fit one signal.
 
     ``coords`` feed the network; its outputs are reshaped to
     ``render_shape`` and pushed through ``operator`` before the MSE
-    against ``target``. ``reference`` (when present) is the ground-truth
-    image used for PSNR logging.
+    against ``target``. ``operator`` follows the module's protocol:
+    ``apply``, ``vjp`` (its exact adjoint, the backprop rule) and
+    ``out_shape`` (the shape of ``target``). ``reference`` (when present)
+    is the ground-truth image used for PSNR logging.
     """
 
     name: str
@@ -319,12 +270,13 @@ def make_task(name, image, factor=4, n_angles=100, detectors=None):
             reference=image,
         )
     if name == "superres":
-        low = downsample(image, factor)
+        op = Downsample(h, w, factor)
+        low = ImageGrid(op.apply(image.pixels))
         return ForwardTask(
             name=name,
             coords=coords,
             target=low.pixels,
-            operator=_DownsampleOp(h, w, factor),
+            operator=op,
             render_shape=(h, w),
             reference=image,
             meta={"factor": factor, "low_res": low},
@@ -333,12 +285,13 @@ def make_task(name, image, factor=4, n_angles=100, detectors=None):
         angles = ct_angles(n_angles)
         if detectors is None:
             detectors = default_detectors(h, w)
-        sino = radon(image, angles, detectors)
+        op = RadonTransform(h, w, angles, detectors)
+        sino = Sinogram(angles=op.angles, values=op.apply(image.pixels))
         return ForwardTask(
             name=name,
             coords=coords,
             target=sino.values,
-            operator=_RadonOp(h, w, angles, detectors),
+            operator=op,
             render_shape=(h, w),
             reference=image,
             meta={"angles": angles, "detectors": detectors, "sinogram": sino},

@@ -14,14 +14,12 @@ import pytest
 from bwinr import (
     NetworkParams,
     Activation,
-    ImageGrid,
     TrainConfig,
     build_dyadic_gram,
     build_relu_gram,
     ct_angles,
     default_detectors,
-    downsample,
-    downsample_vjp,
+    Downsample,
     dyadic_system,
     forward,
     grad_check,
@@ -30,8 +28,7 @@ from bwinr import (
     make_task,
     mlp_specs,
     psi,
-    radon,
-    radon_vjp,
+    RadonTransform,
     shepp_logan,
     synthetic_scene,
     train,
@@ -162,12 +159,14 @@ def test_criterion_6_operator_adjoints():
     angles = ct_angles(50)
     det = default_detectors(h, w)
     U = rng.standard_normal((50, det))
-    lhs = np.sum(radon(ImageGrid(X), angles, det).values * U)
-    rhs = np.sum(X * radon_vjp(U, angles, det, h, w))
+    op = RadonTransform(h, w, angles, det)
+    lhs = np.sum(op.apply(X) * U)
+    rhs = np.sum(X * op.vjp(U))
     radon_err = abs(lhs - rhs) / abs(lhs)
     V = rng.standard_normal((16, 16))
-    lhs2 = np.sum(downsample(ImageGrid(X), 4).pixels * V)
-    rhs2 = np.sum(X * downsample_vjp(V, 4))
+    down = Downsample(h, w, 4)
+    lhs2 = np.sum(down.apply(X) * V)
+    rhs2 = np.sum(X * down.vjp(V))
     down_err = abs(lhs2 - rhs2) / abs(lhs2)
     elapsed = time.perf_counter() - t0
     ok = radon_err <= 1e-10 and down_err <= 1e-10 and elapsed < 5.0

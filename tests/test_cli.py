@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,18 @@ class TestConditioning:
         ks = [row[header2.index("K")] for row in rows2]
         assert ks == [8.0, 16.0, 32.0]
 
+    def test_prints_lambda_min_and_kappa_slopes(self, tmp_path, capsys):
+        out = tmp_path / "cond"
+        run(["conditioning", "--j-max", "2", "--k-list", "8,16,32", "--out", str(out)])
+        printed = re.search(
+            r"lambda_min slope (\S+), kappa slope (\S+) over", capsys.readouterr().out
+        )
+        header, rows = read_table(out / "relu_gram.csv")
+        log_k = np.log([row[header.index("K")] for row in rows])
+        for text, col in zip(printed.groups(), ("lambda_min", "kappa")):
+            values = np.log([row[header.index(col)] for row in rows])
+            assert abs(float(text) - np.polyfit(log_k, values, 1)[0]) <= 5e-4
+
     def test_deterministic(self, tmp_path):
         run(["conditioning", "--j-max", "3", "--k-list", "8", "--out", str(tmp_path / "a")])
         run(["conditioning", "--j-max", "3", "--k-list", "8", "--out", str(tmp_path / "b")])
@@ -155,6 +169,31 @@ class TestExitCodes:
             "--epochs", "1", "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("header", [b"P5\n-2 -3\n255\n", b"P5\n0 0\n255\n"],
+                             ids=["negative", "zero"])
+    def test_nonpositive_pgm_dimensions_are_io_error(self, tmp_path, capsys, header):
+        image = tmp_path / "bad.pgm"
+        image.write_bytes(header + bytes(6))
+        code = run([
+            "fit", "--image", str(image), "--epochs", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "dimensions must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["superres", "--factor", "0"],
+        ["superres", "--factor", "-2"],
+        ["ct", "--angles", "0"],
+    ], ids=["factor0", "factor-2", "angles0"])
+    def test_degenerate_operator_is_config_error(self, tmp_path, capsys, command):
+        code = run(command + [
+            "--image", "scene:8", "--epochs", "1", "--width", "4",
+            "--layers", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_bad_flag_is_config_error(self, tmp_path):
         code = run(["fit", "--image", "scene:16", "--no-such-flag"])

@@ -6,7 +6,6 @@ from bwinr import (
     ShapeError,
     condition_number,
     gershgorin_discs,
-    matmul,
     sym_eigvals,
 )
 
@@ -21,25 +20,6 @@ def random_orthogonal(n, rng):
             v = v - (q[:, j] @ v) * q[:, j]
         q[:, i] = v / np.linalg.norm(v)
     return q
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[3.0], [7.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            matmul(np.array([[np.nan]]), np.array([[1.0]]))
 
 
 class TestSymEigvals:

@@ -3,18 +3,17 @@ import pytest
 
 from bwinr import (
     ConfigurationError,
+    Downsample,
     ImageGrid,
+    RadonTransform,
     ShapeError,
     ct_angles,
     default_detectors,
     downsample,
-    downsample_vjp,
     grid_coords,
     make_signal_task,
     make_task,
     radon,
-    radon_operator,
-    radon_vjp,
 )
 
 
@@ -64,9 +63,15 @@ class TestDownsample:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((16, 16))
         U = rng.standard_normal((4, 4))
-        lhs = np.sum(downsample(ImageGrid(X), 4).pixels * U)
-        rhs = np.sum(X * downsample_vjp(U, 4))
+        op = Downsample(16, 16, 4)
+        lhs = np.sum(op.apply(X) * U)
+        rhs = np.sum(X * op.vjp(U))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    def test_nonpositive_factor_rejected(self):
+        for f in (0, -2):
+            with pytest.raises(ConfigurationError):
+                Downsample(8, 8, f)
 
 
 class TestRadon:
@@ -108,26 +113,18 @@ class TestRadon:
         det = default_detectors(h, w)
         X = rng.standard_normal((h, w))
         U = rng.standard_normal((40, det))
-        lhs = np.sum(radon(ImageGrid(X), angles, det).values * U)
-        rhs = np.sum(X * radon_vjp(U, angles, det, h, w))
+        op = RadonTransform(h, w, angles, det)
+        lhs = np.sum(op.apply(X) * U)
+        rhs = np.sum(X * op.vjp(U))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
-    def test_streaming_path_matches_matrix_path(self):
-        rng = np.random.default_rng(3)
-        h = w = 20
-        angles = ct_angles(7)
-        det = 29
-        stored = radon_operator(h, w, angles, det)
-        streaming = type(stored)(h, w, angles, det)
-        streaming.matrix = None
-        X = rng.standard_normal((h, w))
-        U = rng.standard_normal((7, det))
-        assert np.allclose(stored.apply(X), streaming.apply(X), atol=1e-13)
-        assert np.allclose(stored.adjoint(U), streaming.adjoint(U), atol=1e-13)
-
     def test_zero_cotangent(self):
-        g = radon_vjp(np.zeros((5, 23)), ct_angles(5), 23, 16, 16)
+        g = RadonTransform(16, 16, ct_angles(5), 23).vjp(np.zeros((5, 23)))
         assert np.all(g == 0.0)
+
+    def test_no_angles_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RadonTransform(16, 16, ct_angles(0), 23)
 
     def test_single_ray_cotangent_is_local(self):
         h = w = 32
@@ -135,7 +132,7 @@ class TestRadon:
         det = 33
         cot = np.zeros((1, det))
         cot[0, 16] = 1.0  # central vertical ray, x = 0
-        g = radon_vjp(cot, angles, det, h, w)
+        g = RadonTransform(h, w, angles, det).vjp(cot)
         cols = np.nonzero(np.abs(g).sum(axis=0))[0]
         x_cols = -1.0 + (2.0 * cols + 1.0) / w
         # bilinear reach: at most ~1.5 pixels from the line x=0
@@ -162,6 +159,13 @@ class TestMakeTask:
         assert task.target.shape == (100, det)
         assert task.operator.out_shape == (100, det)
         assert task.coords.shape == (326 * 435, 2)
+
+    def test_ct_operator_is_the_radon_transform_of_its_target(self):
+        img = ImageGrid(np.random.default_rng(3).uniform(0, 1, (20, 24)))
+        task = make_task("ct", img, n_angles=9)
+        assert isinstance(task.operator, RadonTransform)
+        assert task.operator.out_shape == task.target.shape
+        assert np.array_equal(task.operator.apply(img.pixels), task.target)
 
     def test_superres_task(self):
         img = ImageGrid(np.random.default_rng(1).uniform(0, 1, (256, 256)))
