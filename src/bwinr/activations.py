@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 
 # Slope coefficients and shifts of the seven ReLU atoms whose sum is psi.
 # The coefficients sum to zero and their shift-weighted sum is zero, so the
@@ -29,42 +29,82 @@ KINDS = ("relu", "bwrelu", "sine", "gaussian", "identity")
 _SCALED_KINDS = ("bwrelu", "sine", "gaussian")
 
 # Per-segment slope/intercept of psi on [i/2, (i+1)/2), i = 0..5, padded
-# with zero rows for the regions outside the support. Expanding the atom
-# sum gives slope = cumsum(coeffs) and intercept = -cumsum(coeffs*shifts)
-# on each segment, so this table evaluates the identical piecewise-linear
-# function in two gathers instead of seven ReLU passes.
-_SEG_SLOPE = np.concatenate(([0.0], np.cumsum(WAVELET_COEFFS[:-1]), [0.0, 0.0]))
+# with a zero row on each side for the regions outside the support.
+# Expanding the atom sum gives slope = cumsum(coeffs) and intercept =
+# -cumsum(coeffs*shifts) on each segment, so this table evaluates the
+# identical piecewise-linear function in two gathers instead of seven ReLU
+# passes.
+_SEG_SLOPE = np.concatenate(([0.0], np.cumsum(WAVELET_COEFFS[:-1]), [0.0]))
 _SEG_INTERCEPT = np.concatenate(
-    ([0.0], -np.cumsum((WAVELET_COEFFS * WAVELET_SHIFTS)[:-1]), [0.0, 0.0])
+    ([0.0], -np.cumsum((WAVELET_COEFFS * WAVELET_SHIFTS)[:-1]), [0.0])
 )
+_RELU_SLOPE = np.array([0.0, 1.0])
 
-
-def _wavelet_fast(u):
-    """(psi(u), psi'(u)) via the segment table; right-derivative at kinks."""
-    seg = np.floor(2.0 * u).astype(np.intp)
-    np.clip(seg, -1, 6, out=seg)
-    seg += 1
-    slope = _SEG_SLOPE[seg]
-    val = slope * u
-    val += _SEG_INTERCEPT[seg]
-    return val, slope
-
-
-# Elements per pass of ``_wavelet_scaled``: small enough that the pass's
+# Elements per pass of the blocked kernels: small enough that a pass's
 # temporaries stay in cache instead of streaming a layer-sized array each.
 _BLOCK = 16384
 
 
-def _wavelet_scaled(z, c):
-    """(psi(c*z), c*psi'(c*z)), evaluated over flat blocks of ``_BLOCK``."""
-    val = np.empty(z.shape)
-    der = np.empty(z.shape)
-    flat_z, flat_val, flat_der = z.reshape(-1), val.reshape(-1), der.reshape(-1)
+@dataclass(frozen=True, eq=False)
+class CodedDerivative:
+    """Derivative of a piecewise-linear activation, one byte per element.
+
+    ``codes`` (int8, shaped like the activation's input) index ``table``,
+    the derivative's distinct values. ``np.asarray`` gives the dense
+    derivative; ``nbytes`` counts the codes, the part that scales with the
+    batch.
+    """
+
+    codes: np.ndarray
+    table: np.ndarray
+
+    @property
+    def nbytes(self):
+        return self.codes.nbytes
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.take(self.table, self.codes)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def times_derivative(x, deriv):
+    """``x *= deriv`` in place, for either form of derivative ``apply`` returns.
+
+    A ``CodedDerivative`` is gathered block by block, so ``x`` must then be
+    C-contiguous; each product is the same IEEE product as with the dense
+    derivative.
+    """
+    if not isinstance(deriv, CodedDerivative):
+        x *= deriv
+        return x
+    shape = deriv.codes.shape
+    if x.shape != shape or not x.flags.c_contiguous:
+        raise ShapeError(f"expected a C-contiguous array of shape {shape}")
+    flat_x, flat_codes = x.reshape(-1), deriv.codes.reshape(-1)
+    for lo in range(0, flat_x.size, _BLOCK):
+        hi = lo + _BLOCK
+        flat_x[lo:hi] *= np.take(deriv.table, flat_codes[lo:hi])
+    return x
+
+
+def _wavelet_scaled(z, c, out):
+    """psi(c*z) into ``out``, c*psi'(c*z) as segment codes, by flat blocks.
+
+    The codes take the right-derivative at kinks.
+    """
+    codes = np.empty(z.shape, dtype=np.int8)
+    flat_z, flat_out, flat_codes = z.reshape(-1), out.reshape(-1), codes.reshape(-1)
     for lo in range(0, flat_z.size, _BLOCK):
         hi = lo + _BLOCK
-        flat_val[lo:hi], slope = _wavelet_fast(c * flat_z[lo:hi])
-        np.multiply(c, slope, out=flat_der[lo:hi])
-    return val, der
+        u = c * flat_z[lo:hi]
+        seg = np.floor(2.0 * u).astype(np.intp)
+        np.clip(seg, -1, 6, out=seg)
+        seg += 1
+        val = flat_out[lo:hi]
+        np.multiply(_SEG_SLOPE[seg], u, out=val)
+        val += _SEG_INTERCEPT[seg]
+        flat_codes[lo:hi] = seg
+    return CodedDerivative(codes, c * _SEG_SLOPE)
 
 
 @dataclass(frozen=True)
@@ -122,7 +162,7 @@ def psi_prime(x):
     return float(out[0]) if scalar else out
 
 
-def apply(activation, z):
+def apply(activation, z, out=None):
     """Evaluate ``activation`` elementwise on ``z`` with its derivative.
 
     For scaled kinds the function is zeta(c*z) and the returned derivative
@@ -130,21 +170,34 @@ def apply(activation, z):
     is positively homogeneous, so it ignores any scale; identity passes
     through. The ReLU derivative at 0 follows the right-derivative
     convention (1), matching ``psi_prime`` at its kinks.
+
+    The values go to ``out`` when given: a C-contiguous float64 array
+    shaped like ``z``, which may be ``z`` itself. Without ``out``, ``z`` is
+    left unchanged. The bwrelu and relu derivatives are ``CodedDerivative``
+    objects (``np.asarray`` makes them dense); the others are arrays.
     """
     z = np.asarray(z, dtype=float)
+    if out is None:
+        out = np.empty(z.shape)
+    elif out.shape != z.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(
+            f"out must be a C-contiguous float64 array of shape {z.shape}"
+        )
     kind = activation.kind
     if kind == "identity":
-        return z, np.ones_like(z)
+        out[...] = z
+        return out, np.ones_like(z)
     if kind == "relu":
-        return np.maximum(z, 0.0), (z >= 0.0).astype(float)
+        codes = (z >= 0.0).view(np.int8)
+        return np.maximum(z, 0.0, out=out), CodedDerivative(codes, _RELU_SLOPE)
     c = activation.scale
     if kind == "bwrelu":
-        return _wavelet_scaled(z, c)
+        return out, _wavelet_scaled(z, c, out)
     u = c * z
     if kind == "sine":
-        return np.sin(u), c * np.cos(u)
+        return np.sin(u, out=out), c * np.cos(u)
     if kind == "gaussian":
-        g = np.exp(-(u * u))
+        g = np.exp(-(u * u), out=out)
         return g, -2.0 * c * u * g
     raise ConfigurationError(f"unknown activation kind {kind!r}")
 

@@ -25,7 +25,13 @@ import numpy as np
 
 from . import assets
 from .activations import Activation
-from .diagnostics import build_dyadic_gram, build_relu_gram, dyadic_system
+from .diagnostics import (
+    build_dyadic_gram,
+    build_relu_gram,
+    check_dyadic_levels,
+    check_relu_gram_size,
+    dyadic_system,
+)
 from .errors import (
     BwinrError,
     ConfigurationError,
@@ -226,6 +232,11 @@ def cmd_superres(args):
 
 
 def cmd_conditioning(args):
+    check_dyadic_levels(args.j_max)
+    if not args.k_list:
+        raise ConfigurationError("--k-list needs at least one K")
+    for K in args.k_list:
+        check_relu_gram_size(K)
     out = _output_dir(args.out)
     dyadic_rows = []
     for J in range(1, args.j_max + 1):
@@ -306,11 +317,15 @@ def run_vnorm_sweep(task, base_cfg, c_list, target_loss, lr_per_c=None):
 
 
 def cmd_vnorm_sweep(args):
-    image = resolve_image(args.image)
-    task = make_task(args.task, image, n_angles=args.angles, factor=args.factor)
-    cfg = experiment_config(args.task, args)
     if args.target_loss is None:
         raise ConfigurationError("vnorm-sweep requires --target-loss")
+    if not args.c_list:
+        raise ConfigurationError("--c-list needs at least one scale")
+    for c in args.c_list:
+        Activation("bwrelu", c)  # rejects a non-positive scale before training
+    cfg = experiment_config(args.task, args)
+    image = resolve_image(args.image)
+    task = make_task(args.task, image, n_angles=args.angles, factor=args.factor)
     rows = run_vnorm_sweep(task, cfg, args.c_list, args.target_loss)
     out = _output_dir(args.out)
     write_table(

@@ -117,14 +117,19 @@ def variation_norm_deep(params):
     return VariationReport(layers=tuple(layers), total=sum(layers), scale=c)
 
 
+def check_relu_gram_size(K):
+    """Raise ConfigurationError unless ``build_relu_gram`` accepts ``K``."""
+    if not 2 <= K <= 512:
+        raise ConfigurationError(f"K must be in [2, 512], got {K}")
+
+
 def build_relu_gram(K):
     """Gram of ReLU neurons with biases -1 + 2(j-1)/K over [-1, 1].
 
     Entry (i, j) is the integral of (x - b_i)(x - b_j) from max(b_i, b_j)
     to 1, evaluated in closed form.
     """
-    if not 2 <= K <= 512:
-        raise ConfigurationError(f"K must be in [2, 512], got {K}")
+    check_relu_gram_size(K)
     b = -1.0 + 2.0 * np.arange(K) / K
     s = np.add.outer(b, b)
     p = np.multiply.outer(b, b)
@@ -179,10 +184,15 @@ def _pairwise_integral(bp_a, eval_a, bp_b, eval_b):
     ))
 
 
-def build_dyadic_gram(J):
-    """Exact Gram of the L2-normalized dyadic wavelet system on [-1, 1]."""
+def check_dyadic_levels(J):
+    """Raise ConfigurationError unless ``build_dyadic_gram`` accepts ``J``."""
     if not 1 <= J <= 10:
         raise ConfigurationError(f"J must be in [1, 10], got {J}")
+
+
+def build_dyadic_gram(J):
+    """Exact Gram of the L2-normalized dyadic wavelet system on [-1, 1]."""
+    check_dyadic_levels(J)
     system = dyadic_system(J)
     K = len(system)
     breaks = [_wavelet_breakpoints(j, k) for j, k in system]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation, apply
+from .activations import Activation, apply, times_derivative
 from .errors import ConfigurationError, InvalidInputError, ShapeError
 
 CHECKPOINT_MAGIC = "BWINR1"
@@ -97,7 +97,7 @@ class ForwardTrace:
 
     inputs: np.ndarray           # (n, in_dim) batch fed to the first layer
     post: list                   # (n, out_l) post-activations per layer
-    deriv: list                  # (n, out_l) activation derivatives per layer
+    deriv: list                  # (n, out_l) derivatives: arrays or CodedDerivative
 
 
 def _validate_specs(specs):
@@ -164,7 +164,9 @@ def forward(params, X):
     a = X
     post, deriv = [], []
     for spec, w, b in zip(params.specs, params.weights, params.biases):
-        a, d = apply(spec.activation, a @ w.T + b)
+        z = a @ w.T
+        z += b
+        a, d = apply(spec.activation, z, out=z)
         post.append(a)
         deriv.append(d)
     return a, ForwardTrace(inputs=X, post=post, deriv=deriv)
@@ -189,13 +191,13 @@ def backward(params, trace, dY):
         )
     d_weights = [None] * n_layers
     d_biases = [None] * n_layers
-    delta = dY * trace.deriv[-1]
+    delta = times_derivative(dY.copy(), trace.deriv[-1])
     for l in range(n_layers - 1, -1, -1):
         a_in = trace.inputs if l == 0 else trace.post[l - 1]
         d_weights[l] = delta.T @ a_in
         d_biases[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ params.weights[l]) * trace.deriv[l - 1]
+            delta = times_derivative(delta @ params.weights[l], trace.deriv[l - 1])
     return Gradients(weights=d_weights, biases=d_biases)
 
 

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from bwinr import (
     Activation,
     ConfigurationError,
+    ShapeError,
     WAVELET_COEFFS,
     WAVELET_SHIFTS,
     apply,
@@ -13,6 +14,7 @@ from bwinr import (
     psi,
     psi_prime,
 )
+from bwinr.activations import times_derivative
 
 
 def atoms_sum(x):
@@ -129,6 +131,73 @@ class TestApply:
             Activation("sine", -1.0)
         with pytest.raises(ConfigurationError):
             Activation("relu", 2.0)
+
+
+KINDS_UNDER_TEST = [
+    Activation("relu"),
+    Activation("bwrelu", 3.0),
+    Activation("sine", 2.0),
+    Activation("gaussian", 1.5),
+    Activation("identity"),
+]
+
+
+def kink_inputs(c):
+    """Points on every kink of psi(c*z) and of relu, their float neighbours,
+    the tails, and enough random fill to span several kernel blocks."""
+    kinks = np.concatenate(([-0.0], np.arange(7) / (2.0 * c)))
+    near = np.concatenate([
+        kinks, np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf),
+        [-5.0, 5.0],
+    ])
+    fill = np.random.default_rng(7).uniform(-0.5, 4.0 / c, 20000 - near.size)
+    return np.concatenate([near, fill]).reshape(200, 100)
+
+
+class TestApplyInPlace:
+    @pytest.mark.parametrize("act", KINDS_UNDER_TEST, ids=lambda a: a.kind)
+    def test_out_is_z_matches_fresh_output(self, act):
+        z = kink_inputs(2.0)
+        vals, derivs = apply(act, z.copy())
+        in_place = z.copy()
+        vals_in, derivs_in = apply(act, in_place, out=in_place)
+        assert vals_in is in_place
+        assert np.array_equal(vals_in, vals)
+        assert np.array_equal(np.asarray(derivs_in), np.asarray(derivs))
+
+    @pytest.mark.parametrize("act", KINDS_UNDER_TEST, ids=lambda a: a.kind)
+    def test_z_unchanged_without_out(self, act):
+        z = kink_inputs(2.0)
+        before = z.copy()
+        apply(act, z)
+        assert np.array_equal(z, before)
+
+    @pytest.mark.parametrize("c", [2.0, 3.0])
+    def test_bwrelu_codes_equal_dense_derivative(self, c):
+        z = kink_inputs(c)
+        _, derivs = apply(Activation("bwrelu", c), z)
+        assert derivs.codes.dtype == np.int8
+        assert derivs.nbytes == z.size
+        assert np.array_equal(np.asarray(derivs), c * psi_prime(c * z))
+
+    def test_relu_codes_equal_dense_derivative(self):
+        z = kink_inputs(1.0)
+        _, derivs = apply(Activation("relu"), z)
+        assert derivs.codes.dtype == np.int8
+        assert np.array_equal(np.asarray(derivs), (z >= 0.0).astype(float))
+
+    def test_bad_out_rejected(self):
+        z = np.zeros((4, 3))
+        for out in (np.zeros((3, 4)), np.zeros((4, 3), dtype=np.float32),
+                    np.zeros((3, 4)).T):
+            with pytest.raises(ShapeError):
+                apply(Activation("bwrelu", 1.0), z, out=out)
+
+    def test_times_derivative_needs_matching_contiguous_array(self):
+        _, derivs = apply(Activation("relu"), np.zeros((4, 3)))
+        for x in (np.zeros((3, 4)), np.zeros((3, 4)).T):
+            with pytest.raises(ShapeError):
+                times_derivative(x, derivs)
 
 
 class TestExpandToRelus:

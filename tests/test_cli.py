@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import bwinr.cli
 from bwinr import load_image, shepp_logan, synthetic_scene
 from bwinr.cli import main, read_table
 from bwinr.network import load_checkpoint
@@ -194,6 +195,41 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--j-max", "0"],
+        ["--j-max", "11"],
+        ["--k-list", ","],
+        ["--k-list", "8,1"],
+        ["--k-list", "8,513"],
+    ], ids=["j0", "j11", "k-empty", "k1", "k513"])
+    def test_conditioning_range_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        code = run(["conditioning", *flags, "--out", str(out)])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--c-list", ",", "--target-loss", "1e-3"],
+        ["--c-list", "1,-2", "--target-loss", "1e-3"],
+        ["--c-list", "1,3"],
+    ], ids=["c-empty", "c-negative", "no-target-loss"])
+    def test_vnorm_sweep_flags_checked_before_task(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        def no_task(*args, **kwargs):
+            raise AssertionError("make_task ran before the flags were checked")
+
+        monkeypatch.setattr(bwinr.cli, "make_task", no_task)
+        out = tmp_path / "o"
+        code = run([
+            "vnorm-sweep", "--task", "ct", "--image", "shepp-logan:16",
+            *flags, "--out", str(out),
+        ])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_flag_is_config_error(self, tmp_path):
         code = run(["fit", "--image", "scene:16", "--no-such-flag"])

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import bwinr.network
 from bwinr import (
     Activation,
     ConfigurationError,
@@ -16,7 +19,7 @@ from bwinr import (
     mse_and_gradients,
     save_checkpoint,
 )
-from bwinr.activations import WAVELET_SHIFTS
+from bwinr.activations import WAVELET_COEFFS, WAVELET_SHIFTS, positional_encoding
 
 BW3 = Activation("bwrelu", 3.0)
 
@@ -174,6 +177,101 @@ class TestBackward:
         _, trace = forward(p, np.zeros((4, 2)))
         with pytest.raises(InvalidInputError):
             backward(p, trace, np.zeros((5, 1)))
+
+
+# Frozen reference: the dense per-layer loop that stores every derivative
+# as a float64 array (segment-table wavelet, right-derivative at kinks).
+_REF_SLOPE = np.concatenate(([0.0], np.cumsum(WAVELET_COEFFS[:-1]), [0.0]))
+_REF_INTERCEPT = np.concatenate(
+    ([0.0], -np.cumsum((WAVELET_COEFFS * WAVELET_SHIFTS)[:-1]), [0.0])
+)
+
+
+def _reference_apply(act, z):
+    c = act.scale
+    if act.kind == "identity":
+        return z, np.ones_like(z)
+    if act.kind == "relu":
+        return np.maximum(z, 0.0), (z >= 0.0).astype(float)
+    u = c * z
+    if act.kind == "sine":
+        return np.sin(u), c * np.cos(u)
+    seg = np.clip(np.floor(2.0 * u).astype(np.intp), -1, 6) + 1
+    slope = _REF_SLOPE[seg]
+    return slope * u + _REF_INTERCEPT[seg], c * slope
+
+
+def _reference_forward_backward(params, X, dY):
+    a, post, deriv = X, [], []
+    for spec, w, b in zip(params.specs, params.weights, params.biases):
+        a, d = _reference_apply(spec.activation, a @ w.T + b)
+        post.append(a)
+        deriv.append(d)
+    delta = dY * deriv[-1]
+    d_weights, d_biases = [], []
+    for l in range(len(params.weights) - 1, -1, -1):
+        d_weights.insert(0, delta.T @ (X if l == 0 else post[l - 1]))
+        d_biases.insert(0, delta.sum(axis=0))
+        if l > 0:
+            delta = (delta @ params.weights[l]) * deriv[l - 1]
+    return a, post, deriv, d_weights, d_biases
+
+
+class TestLeanLayers:
+    @pytest.mark.parametrize("act, pe", [
+        (BW3, None), (Activation("relu"), 4), (Activation("sine", 5.0), None),
+    ], ids=["bwrelu", "relu-pe", "sine"])
+    def test_matches_dense_reference_bitwise(self, act, pe):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1, 1, (800, 2))
+        if pe is not None:
+            X = positional_encoding(X, pe)
+        p = init_network(mlp_specs([X.shape[1], 24, 24, 1], act), 5)
+        dY = rng.standard_normal((800, 1))
+        Y, trace = forward(p, X)
+        g = backward(p, trace, dY)
+        ref_Y, ref_post, ref_deriv, ref_dw, ref_db = _reference_forward_backward(
+            p, X, dY
+        )
+        assert np.array_equal(Y, ref_Y)
+        for a, ref in zip(trace.post, ref_post):
+            assert np.array_equal(a, ref)
+        for d, ref in zip(trace.deriv, ref_deriv):
+            assert np.array_equal(np.asarray(d), ref)
+        for got, ref in zip(g.weights + g.biases, ref_dw + ref_db):
+            assert np.array_equal(got, ref)
+
+    def test_forward_calls_apply_once_per_layer_through_network(self, monkeypatch):
+        # The traced benchmark wraps every binding of activations.apply and
+        # expects one span per layer from network.forward.
+        real = bwinr.network.apply
+        calls = []
+
+        def counted(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bwinr" and getattr(module, "apply", None) is real:
+                monkeypatch.setattr(module, "apply", counted(name))
+        p = init_network(mlp_specs([2, 6, 6, 6, 1], BW3), 0)
+        forward(p, np.zeros((5, 2)))
+        assert calls == ["bwinr.network"] * len(p.specs)
+
+    def test_bwrelu_trace_bytes(self):
+        # Post-activations at 8 B/element, hidden derivative codes at
+        # 1 B/element, plus the inputs and the dense identity derivative.
+        n, sizes = 50, [2, 30, 20, 10, 1]
+        p = init_network(mlp_specs(sizes, BW3), 0)
+        _, trace = forward(p, np.zeros((n, 2)))
+        traced = trace.inputs.nbytes + sum(
+            v.nbytes for v in trace.post + trace.deriv
+        )
+        post = 8 * n * sum(sizes[1:])
+        codes = 1 * n * sum(sizes[1:-1])
+        assert traced == 8 * n * sizes[0] + post + codes + 8 * n * sizes[-1]
 
 
 class TestGradCheck:
