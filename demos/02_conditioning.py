@@ -10,7 +10,7 @@ Gershgorin band around 1/6).
 
 import numpy as np
 
-from bwinr import build_dyadic_gram, build_relu_gram
+from bwinr import build_dyadic_gram, build_relu_gram, gershgorin_discs
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
         r = build_dyadic_gram(J)
         print(f"  {J:>3} {len(r.eigenvalues):>5} {r.eigenvalues[0]:>12.6f} "
               f"{r.eigenvalues[-1]:>12.6f} {r.condition.value:>8.4f}")
-    radius = max(rad for _, rad in r.gershgorin)
+    radius = max(rad for _, rad in gershgorin_discs(r.matrix))
     print(f"  widest Gershgorin radius at J=8: {radius:.7f} "
           f"(two |k-p|=1 overlaps of 5/162 plus two |k-p|=2 of 1/324 = {11 / 162:.7f})")
     print("  kappa stays below (1/6 + r)/(1/6 - r) = 38/16 = 2.375 at every size.")

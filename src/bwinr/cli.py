@@ -241,27 +241,22 @@ def cmd_conditioning(args):
     dyadic_rows = []
     for J in range(1, args.j_max + 1):
         report = build_dyadic_gram(J)
-        system = dyadic_system(J)
+        scale, shift = np.array(dyadic_system(J)).T
         gram = report.matrix
-        same1, same2, cross = [], [], []
-        for a, (ja, ka) in enumerate(system):
-            for b, (jb, kb) in enumerate(system):
-                if a == b:
-                    continue
-                if ja == jb and abs(ka - kb) == 1:
-                    same1.append(gram[a, b])
-                elif ja == jb and abs(ka - kb) == 2:
-                    same2.append(gram[a, b])
-                elif ja != jb:
-                    cross.append(abs(gram[a, b]))
+        # Boolean masks select in row-major order, as a loop over (a, b) would.
+        same = scale[:, None] == scale[None, :]
+        gap = np.abs(shift[:, None] - shift[None, :])
+        same1 = gram[same & (gap == 1)]
+        same2 = gram[same & (gap == 2)]
+        cross = np.abs(gram[~same])
         dyadic_rows.append([
-            J, len(system),
+            J, len(scale),
             float(report.eigenvalues[0]), float(report.eigenvalues[-1]),
             report.condition.value, report.condition.floored,
             float(gram[0, 0]),
-            float(np.mean(same1)) if same1 else None,
-            float(np.mean(same2)) if same2 else None,
-            float(np.max(cross)) if cross else None,
+            float(np.mean(same1)) if same1.size else None,
+            float(np.mean(same2)) if same2.size else None,
+            float(np.max(cross)) if cross.size else None,
         ])
     write_table(
         out / "dyadic_gram.csv",

@@ -10,13 +10,15 @@ much better than plain ReLU ones on low-dimensional fits:
   values from Theta(h) to Theta(K). So lambda_min ~ K^-3, lambda_max ~ K
   and the condition number grows like K^4 (above the Omega(K^3) bound).
 * ``build_dyadic_gram``: the Gram of the L2-normalized dyadic wavelet
-  system on [-1, 1]. Wavelets at different scales are exactly orthogonal
+  system with shifts k = 0..2^j - 1 at scale j. It does not tile
+  [-1, 1]: at scale j >= 1 the supports end at -1/3 + 4/(3 * 2^j).
+  Wavelets at different scales are exactly orthogonal
   and same-scale overlaps decay fast, so the matrix is a small
   perturbation of (1/6) I and its condition number stays O(1).
 
-Entries of the dyadic Gram are integrated exactly: both factors are
-piecewise linear, so per-subinterval Simpson quadrature on the merged
-breakpoint grid has zero truncation error.
+Entries of the dyadic Gram are integrated exactly from one table of
+overlap integrals per scale gap: both factors are linear on every cell
+of the table's grid, so per-cell Simpson quadrature is exact.
 
 The variation norm measures the regularity of the learned function
 directly from the weights: each wavelet neuron contributes
@@ -38,7 +40,7 @@ from .errors import (
     ShapeError,
     UnsupportedActivationError,
 )
-from .linalg import ConditionNumber, condition_number, gershgorin_discs, sym_eigvals
+from .linalg import ConditionNumber, condition_number, sym_eigvals
 
 VNORM_ATOM_FACTOR = 16.0  # sum of |slope coefficients| of the wavelet's atoms
 
@@ -48,7 +50,6 @@ class GramReport:
     matrix: np.ndarray
     eigenvalues: np.ndarray       # ascending
     condition: ConditionNumber
-    gershgorin: list
     tag: str
 
 
@@ -140,11 +141,11 @@ def build_relu_gram(K):
 
     gram = antideriv(1.0) - antideriv(m)
     gram = (gram + gram.T) / 2.0
+    eigs = sym_eigvals(gram)
     return GramReport(
         matrix=gram,
-        eigenvalues=sym_eigvals(gram),
-        condition=condition_number(gram),
-        gershgorin=gershgorin_discs(gram),
+        eigenvalues=eigs,
+        condition=condition_number(eigs),
         tag="relu-even",
     )
 
@@ -153,35 +154,28 @@ def dyadic_system(J):
     """(scale j, shift k) index pairs of the dyadic wavelet system.
 
     Scale j contributes 2^j shifts, j = 0..J-1, for 2^J - 1 wavelets total.
+    Wavelet (j, k) is 2^(j/2) psi(2^j * 1.5 * (x + 1) - k), supported on
+    -1 + (2/3)(k, k + 3) / 2^j, so only scale 0 spans [-1, 1]; at scale
+    j >= 1 the supports end at -1/3 + 4/(3 * 2^j).
     """
     return [(j, k) for j in range(J) for k in range(2**j)]
 
 
-def _wavelet_breakpoints(j, k):
-    # Kinks of x -> psi(2^j * (3/2) * (x + 1) - k) at half-integer arguments.
-    return -1.0 + (2.0 / 3.0) * (k + 0.5 * np.arange(7)) / 2**j
+def _overlap_integrals(d, m):
+    """I(d, m) = integral of psi(s) psi(2^d s - m) ds for each shift in ``m``.
 
-
-def _wavelet_values(j, k, x):
-    return 2.0 ** (j / 2.0) * psi(2**j * 1.5 * (x + 1.0) - k)
-
-
-def _pairwise_integral(bp_a, eval_a, bp_b, eval_b):
-    lo = max(bp_a[0], bp_b[0])
-    hi = min(bp_a[-1], bp_b[-1])
-    if hi <= lo:
-        return 0.0
-    pts = np.unique(np.clip(np.concatenate([bp_a, bp_b]), lo, hi))
-    left, right = pts[:-1], pts[1:]
-    mid = 0.5 * (left + right)
-    # Simpson is exact here: products of piecewise-linear factors are
-    # quadratic on every subinterval of the merged breakpoint grid.
-    def prod(x):
-        return eval_a(x) * eval_b(x)
-
-    return float(np.sum(
-        (right - left) / 6.0 * (prod(left) + 4.0 * prod(mid) + prod(right))
-    ))
+    The second factor lives on the six cells [i, i + 1] * h, i = 2m..2m+5,
+    of width h = 2^-(d+1). psi's kinks sit at half-integers, which are
+    multiples of h, so both factors are linear on every cell and Simpson's
+    rule on each cell is exact.
+    """
+    h = 0.5 ** (d + 1)
+    # Ends and midpoints of the six cells: s = (2m + t/2) h, t = 0..12.
+    s = (2.0 * m[:, None] + 0.5 * np.arange(13)) * h
+    prod = psi(s) * psi(2**d * s - m[:, None])
+    return h / 6.0 * np.sum(
+        prod[:, 0:12:2] + 4.0 * prod[:, 1:12:2] + prod[:, 2:13:2], axis=1
+    )
 
 
 def check_dyadic_levels(J):
@@ -191,32 +185,32 @@ def check_dyadic_levels(J):
 
 
 def build_dyadic_gram(J):
-    """Exact Gram of the L2-normalized dyadic wavelet system on [-1, 1]."""
+    """Exact Gram of the L2-normalized wavelets of ``dyadic_system(J)``.
+
+    Only scale 0 spans [-1, 1]; see ``dyadic_system``. Substituting
+    s = 2^ja * 1.5 (x + 1) - ka turns entry (ja, ka), (jb, kb) into
+    (2/3) 2^(d/2) I(d, m) with d = jb - ja and m = kb - 2^d ka, which is
+    nonzero only for m = -2..3 * 2^d - 1.
+    """
     check_dyadic_levels(J)
-    system = dyadic_system(J)
-    K = len(system)
-    breaks = [_wavelet_breakpoints(j, k) for j, k in system]
-    lo = np.array([bp[0] for bp in breaks])
-    hi = np.array([bp[-1] for bp in breaks])
+    K = 2**J - 1
     gram = np.zeros((K, K))
-    # Only pairs with overlapping supports can have nonzero entries.
-    overlap = (lo[:, None] < hi[None, :]) & (lo[None, :] < hi[:, None])
-    for a, b in zip(*np.nonzero(np.triu(overlap))):
-        ja, ka = system[a]
-        jb, kb = system[b]
-        val = _pairwise_integral(
-            breaks[a],
-            lambda x, j=ja, k=ka: _wavelet_values(j, k, x),
-            breaks[b],
-            lambda x, j=jb, k=kb: _wavelet_values(j, k, x),
-        )
-        gram[a, b] = val
-        gram[b, a] = val
+    for d in range(J):
+        # The d = 0 blocks are symmetric: fill their upper triangles only.
+        m = np.arange(-2 if d else 0, 3 * 2**d)
+        table = (2.0 / 3.0) * 2.0 ** (d / 2.0) * _overlap_integrals(d, m)
+        for ja in range(J - d):
+            jb = ja + d
+            kb = 2**d * np.arange(2**ja)[:, None] + m
+            ka, i = np.nonzero((kb >= 0) & (kb < 2**jb))
+            a = 2**ja - 1 + ka
+            b = 2**jb - 1 + kb[ka, i]
+            gram[a, b] = gram[b, a] = table[i]
+    eigs = sym_eigvals(gram)
     return GramReport(
         matrix=gram,
-        eigenvalues=sym_eigvals(gram),
-        condition=condition_number(gram),
-        gershgorin=gershgorin_discs(gram),
+        eigenvalues=eigs,
+        condition=condition_number(eigs),
         tag="bspline-dyadic",
     )
 
@@ -237,7 +231,7 @@ def feature_gram_condition(trace, layer):
         )
     feats = trace.post[layer]
     gram = feats.T @ feats / feats.shape[0]
-    return condition_number(gram)
+    return condition_number(sym_eigvals(gram))
 
 
 def psnr(reference, estimate):

@@ -3,8 +3,9 @@
 Matrices are plain float64 2-D ``numpy`` arrays (row-major). Eigenvalues
 of symmetric matrices are delegated to LAPACK via ``numpy.linalg.eigvalsh``,
 which meets the accuracy contract here (all matrices are dense, n <= ~1000).
-Condition numbers of near-singular positive semidefinite matrices are
-floored so that downstream logs stay finite; the floor is always flagged.
+Condition numbers are read off a spectrum already in hand; those of
+near-singular positive semidefinite matrices are floored so that
+downstream logs stay finite, and the floor is always flagged.
 """
 
 from typing import NamedTuple
@@ -64,9 +65,15 @@ class ConditionNumber(NamedTuple):
     floor: float
 
 
-def condition_number(a, tol=SYM_TOL_DEFAULT):
-    """Condition number of a symmetric PSD matrix, with singularity floor."""
-    eigs = sym_eigvals(a, tol=tol)
+def condition_number(eigs):
+    """Condition number of a symmetric PSD matrix, with singularity floor.
+
+    ``eigs`` is the matrix's ascending spectrum as ``sym_eigvals`` returns
+    it, so one decomposition serves both the spectrum and its condition.
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    if eigs.ndim != 1 or eigs.size == 0:
+        raise ShapeError(f"expected a 1-D spectrum, got shape {eigs.shape}")
     lam_max = float(eigs[-1])
     lam_min = float(eigs[0])
     if lam_max <= 0.0:

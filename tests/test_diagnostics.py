@@ -223,6 +223,99 @@ class TestDyadicGram:
         assert max(kappas) <= 2.38
 
 
+class TestDyadicGramTable:
+    """The overlap-table Gram against the pair loop it replaced."""
+
+    @staticmethod
+    def _pair_loop_gram(J):
+        # Frozen copy of the per-pair Gram: merged breakpoints of each
+        # overlapping pair in x, Simpson on every subinterval.
+        system = dyadic_system(J)
+
+        def breakpoints(j, k):
+            return -1.0 + (2.0 / 3.0) * (k + 0.5 * np.arange(7)) / 2**j
+
+        def values(j, k, x):
+            return 2.0 ** (j / 2.0) * psi(2**j * 1.5 * (x + 1.0) - k)
+
+        breaks = [breakpoints(j, k) for j, k in system]
+        lo = np.array([bp[0] for bp in breaks])
+        hi = np.array([bp[-1] for bp in breaks])
+        gram = np.zeros((len(system), len(system)))
+        overlap = (lo[:, None] < hi[None, :]) & (lo[None, :] < hi[:, None])
+        for a, b in zip(*np.nonzero(np.triu(overlap))):
+            (ja, ka), (jb, kb) = system[a], system[b]
+            left_end = max(breaks[a][0], breaks[b][0])
+            right_end = min(breaks[a][-1], breaks[b][-1])
+            if right_end <= left_end:
+                continue
+            pts = np.unique(np.clip(
+                np.concatenate([breaks[a], breaks[b]]), left_end, right_end
+            ))
+            left, right = pts[:-1], pts[1:]
+            mid = 0.5 * (left + right)
+
+            def prod(x):
+                return values(ja, ka, x) * values(jb, kb, x)
+
+            gram[a, b] = gram[b, a] = float(np.sum(
+                (right - left) / 6.0 * (prod(left) + 4.0 * prod(mid) + prod(right))
+            ))
+        return gram
+
+    @pytest.mark.parametrize("J", range(1, 7))
+    def test_matches_pair_loop(self, J):
+        gram = build_dyadic_gram(J).matrix
+        assert np.array_equal(gram, gram.T)
+        assert np.abs(gram - self._pair_loop_gram(J)).max() <= 1e-14
+
+    @pytest.mark.parametrize("J", range(1, 9))
+    def test_constants_to_rounding(self, J):
+        gram = build_dyadic_gram(J).matrix
+        scale, shift = np.array(dyadic_system(J)).T
+        same = scale[:, None] == scale[None, :]
+        gap = np.abs(shift[:, None] - shift[None, :])
+        assert np.abs(np.diag(gram) - 1 / 6).max() <= 1e-15
+        assert np.all(np.abs(gram[same & (gap == 1)] - 5 / 162) <= 1e-15)
+        assert np.all(np.abs(gram[same & (gap == 2)] + 1 / 324) <= 1e-15)
+        assert np.all(gram[same & (gap >= 3)] == 0.0)
+        assert np.all(np.abs(gram[~same]) <= 1e-15)
+
+    def test_largest_level(self):
+        report = build_dyadic_gram(10)
+        assert report.matrix.shape == (1023, 1023)
+        assert not report.condition.floored
+        assert report.condition.value <= 2.38
+
+
+class TestSingleDecomposition:
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_relu_gram(self, eigvalsh_calls):
+        build_relu_gram(16)
+        assert eigvalsh_calls == [(16, 16)]
+
+    def test_dyadic_gram(self, eigvalsh_calls):
+        build_dyadic_gram(4)
+        assert eigvalsh_calls == [(15, 15)]
+
+    def test_feature_gram(self, eigvalsh_calls):
+        p = init_network(mlp_specs([1, 6, 1], Activation("bwrelu", 1.0)), 0)
+        trace = forward(p, np.linspace(-1, 1, 50).reshape(-1, 1))[1]
+        feature_gram_condition(trace, 0)
+        assert eigvalsh_calls == [(6, 6)]
+
+
 class TestFeatureGram:
     def test_orthonormal_features(self):
         # identity hidden layer passing through orthonormal columns

@@ -57,18 +57,18 @@ class TestSymEigvals:
 
 class TestConditionNumber:
     def test_identity(self):
-        cond = condition_number(np.eye(5))
+        cond = condition_number(sym_eigvals(np.eye(5)))
         assert cond.value == pytest.approx(1.0)
         assert not cond.floored
 
     def test_diagonal_ratio(self):
-        cond = condition_number(np.diag([9.0, 1.0]))
+        cond = condition_number(sym_eigvals(np.diag([9.0, 1.0])))
         assert cond.value == pytest.approx(9.0)
         assert not cond.floored
 
     def test_rank_deficient_hits_floor(self):
         # eigenvalues {0, 2}: the zero eigenvalue is floored at 1e-14*2.
-        cond = condition_number(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        cond = condition_number(sym_eigvals(np.array([[1.0, 1.0], [1.0, 1.0]])))
         assert cond.floored
         assert cond.value == pytest.approx(1e14, rel=1e-6)
 
@@ -77,12 +77,17 @@ class TestConditionNumber:
         rng = np.random.default_rng(7)
         m = rng.standard_normal((9, 9))
         a = m @ m.T + 0.1 * np.eye(9)
-        base = condition_number(a).value
-        assert condition_number(c * a).value == pytest.approx(base, rel=1e-9)
+        base = condition_number(sym_eigvals(a)).value
+        assert condition_number(sym_eigvals(c * a)).value == pytest.approx(base, rel=1e-9)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
-            condition_number(np.zeros((3, 3)))
+            condition_number(sym_eigvals(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("eigs", [np.eye(3), np.zeros(0)], ids=["matrix", "empty"])
+    def test_takes_a_spectrum(self, eigs):
+        with pytest.raises(ShapeError):
+            condition_number(eigs)
 
 
 class TestGershgorin:
