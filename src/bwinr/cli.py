@@ -151,7 +151,7 @@ def write_table(path, header, rows):
                 cells.append(str(v))
         lines.append(",".join(cells))
     with _writing(path):
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_table(path):

@@ -93,7 +93,13 @@ class Gradients:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer tensors captured by ``forward`` for use in ``backward``."""
+    """Per-layer tensors captured by ``forward`` for use in ``backward``.
+
+    ``backward`` consumes the trace: it writes each hidden layer's
+    cotangent into that layer's ``post`` buffer once nothing reads it
+    again, so afterwards ``post[:-1]`` hold scratch values. ``post[-1]``
+    (the network output) and every ``deriv`` are left unchanged.
+    """
 
     inputs: np.ndarray           # (n, in_dim) batch fed to the first layer
     post: list                   # (n, out_l) post-activations per layer
@@ -176,7 +182,9 @@ def backward(params, trace, dY):
     """Gradients of sum(dY * Y) w.r.t. every weight and bias.
 
     ``trace`` must come from a ``forward`` call on the same architecture
-    and batch; mismatched shapes raise InvalidInputError.
+    and batch; mismatched shapes raise InvalidInputError. The trace's
+    hidden ``post`` buffers are reused as cotangent storage, so after
+    this call ``trace.post[:-1]`` hold scratch values (see ForwardTrace).
     """
     dY = np.asarray(dY, dtype=float)
     n_layers = len(params.weights)
@@ -197,7 +205,9 @@ def backward(params, trace, dY):
         d_weights[l] = delta.T @ a_in
         d_biases[l] = delta.sum(axis=0)
         if l > 0:
-            delta = times_derivative(delta @ params.weights[l], trace.deriv[l - 1])
+            # Nothing reads a_in after d_weights[l]; it takes the product.
+            delta = np.matmul(delta, params.weights[l], out=a_in)
+            delta = times_derivative(delta, trace.deriv[l - 1])
     return Gradients(weights=d_weights, biases=d_biases)
 
 

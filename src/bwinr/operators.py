@@ -22,7 +22,6 @@ cotangent back to the image (the exact adjoint of ``apply``), and
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError, InvalidInputError, ShapeError
 
@@ -145,21 +144,60 @@ class RadonTransform:
         n_steps = int(np.ceil(2.0 * half / step))
         self.dt = 2.0 * half / n_steps
         self.t = -half + (np.arange(n_steps) + 0.5) * self.dt
-        blocks = [self._angle_block(i) for i in range(angles.size)]
-        self.matrix = sparse.vstack(blocks, format="csr")
 
-    def _angle_block(self, idx):
-        """One angle's rows of the matrix: detectors x (h*w) in CSR."""
-        h, w = self.h, self.w
+        # One CSR, filled angle by angle into arrays allocated once. Each
+        # block still goes through scipy's COO -> CSR conversion, whose order
+        # decides how duplicate entries are summed. scipy is imported here,
+        # so only commands that build a Radon matrix load it.
+        from scipy import sparse
+
+        n_angles, d, n_px = angles.size, self.detectors, self.h * self.w
+        # Each in-square sample adds 4 entries before duplicates are summed.
+        capacity = 4 * sum(
+            int(np.count_nonzero(self._ray_points(i)[2])) for i in range(n_angles)
+        )
+        fits32 = max(capacity, n_px) <= np.iinfo(np.int32).max
+        index = np.int32 if fits32 else np.int64
+        data = np.empty(capacity)
+        indices = np.empty(capacity, dtype=index)
+        indptr = np.zeros(n_angles * d + 1, dtype=index)
+        nnz = 0
+        for i in range(n_angles):
+            weights, rows, cols = self._angle_block(i)
+            block = sparse.coo_matrix((weights, (rows, cols)), shape=(d, n_px)).tocsr()
+            end = nnz + block.nnz
+            data[nnz:end] = block.data
+            indices[nnz:end] = block.indices
+            block_ptr = indptr[i * d + 1:(i + 1) * d + 1]
+            block_ptr[:] = block.indptr[1:]
+            block_ptr += nnz
+            nnz = end
+        self.matrix = sparse.csr_matrix(
+            (data[:nnz], indices[:nnz], indptr), shape=(n_angles * d, n_px)
+        )
+
+    def _ray_points(self, idx):
+        """Sample points of angle ``idx``'s rays, and which lie in the square.
+
+        Ray point: s * normal + t * direction, normal = (cos, sin),
+        direction = (-sin, cos); arrays are detectors x steps.
+        """
         theta = self.angles[idx]
         cos, sin = np.cos(theta), np.sin(theta)
         s = self.offsets[:, None]
         t = self.t[None, :]
-        # Ray point: s * normal + t * direction, normal = (cos, sin),
-        # direction = (-sin, cos).
         x = s * cos - t * sin
         y = s * sin + t * cos
-        inside = (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
+        return x, y, (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
+
+    def _angle_block(self, idx):
+        """One angle's rows of the matrix as COO (weights, rows, cols).
+
+        Rows are detector indices; duplicate (row, col) pairs are summed by
+        the CSR conversion.
+        """
+        h, w = self.h, self.w
+        x, y, inside = self._ray_points(idx)
         rows = np.broadcast_to(
             np.arange(self.detectors)[:, None], x.shape
         )[inside]
@@ -181,10 +219,7 @@ class RadonTransform:
         weights = self.dt * np.concatenate([
             (1 - fv) * (1 - fu), (1 - fv) * fu, fv * (1 - fu), fv * fu,
         ])
-        return sparse.coo_matrix(
-            (weights, (np.tile(rows, 4), cols)),
-            shape=(self.detectors, h * w),
-        ).tocsr()
+        return weights, np.tile(rows, 4), cols
 
     def apply(self, pixels):
         flat = np.asarray(pixels, dtype=float).ravel()

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,18 @@ from bwinr.training import TrainLog
 
 def run(args):
     return main(args)
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    # Only a Radon matrix needs scipy; fit, superres and conditioning never
+    # pay for its import.
+    src = Path(bwinr.cli.__file__).parents[1]
+    code = "import sys, bwinr.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestAssets:

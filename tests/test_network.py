@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,35 @@ class TestBackward:
         with pytest.raises(InvalidInputError):
             backward(p, trace, np.zeros((5, 1)))
 
+    def test_allocates_no_hidden_sized_array(self):
+        # The hidden cotangents go into the trace's spent post buffers, so
+        # backward's peak stays below one (n, width) float64 array.
+        p = init_network(mlp_specs([2, 64, 64, 64, 1], BW3), 0)
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-1, 1, (4096, 2))
+        dY = rng.standard_normal((4096, 1))
+        _, trace = forward(p, X)
+        tracemalloc.start()
+        try:
+            backward(p, trace, dY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 64 * 8
+
+    def test_output_and_derivatives_survive(self):
+        p = init_network(mlp_specs([2, 16, 16, 1], BW3), 2)
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1, 1, (300, 2))
+        Y, trace = forward(p, X)
+        Y_before = Y.copy()
+        derivs_before = [np.asarray(d).copy() for d in trace.deriv]
+        backward(p, trace, rng.standard_normal((300, 1)))
+        assert trace.post[-1] is Y
+        assert np.array_equal(Y, Y_before)
+        for d, before in zip(trace.deriv, derivs_before):
+            assert np.array_equal(np.asarray(d), before)
+
 
 # Frozen reference: the dense per-layer loop that stores every derivative
 # as a float64 array (segment-table wavelet, right-derivative at kinks).
@@ -229,13 +259,14 @@ class TestLeanLayers:
         p = init_network(mlp_specs([X.shape[1], 24, 24, 1], act), 5)
         dY = rng.standard_normal((800, 1))
         Y, trace = forward(p, X)
-        g = backward(p, trace, dY)
         ref_Y, ref_post, ref_deriv, ref_dw, ref_db = _reference_forward_backward(
             p, X, dY
         )
         assert np.array_equal(Y, ref_Y)
+        # backward reuses post[:-1] as scratch, so check them before it runs.
         for a, ref in zip(trace.post, ref_post):
             assert np.array_equal(a, ref)
+        g = backward(p, trace, dY)
         for d, ref in zip(trace.deriv, ref_deriv):
             assert np.array_equal(np.asarray(d), ref)
         for got, ref in zip(g.weights + g.biases, ref_dw + ref_db):

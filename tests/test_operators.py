@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from bwinr import (
     ConfigurationError,
@@ -149,6 +150,56 @@ class TestRadon:
         sums = sino.values.sum(axis=1)
         spread = (sums.max() - sums.min()) / sums.mean()
         assert spread <= 0.01
+
+
+# Frozen reference: the builder that compiled each angle's block to CSR and
+# stacked the blocks with scipy.sparse.vstack.
+def _reference_radon_matrix(h, w, angles, detectors):
+    half = np.sqrt(2.0)
+    offsets = -half + (2.0 * np.arange(detectors) + 1.0) * half / detectors
+    n_steps = int(np.ceil(2.0 * half / (2.0 / max(h, w))))
+    dt = 2.0 * half / n_steps
+    t = (-half + (np.arange(n_steps) + 0.5) * dt)[None, :]
+    s = offsets[:, None]
+    blocks = []
+    for theta in angles:
+        x = s * np.cos(theta) - t * np.sin(theta)
+        y = s * np.sin(theta) + t * np.cos(theta)
+        inside = (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
+        rows = np.broadcast_to(np.arange(detectors)[:, None], x.shape)[inside]
+        u = (x[inside] + 1.0) * (w / 2.0) - 0.5
+        v = (y[inside] + 1.0) * (h / 2.0) - 0.5
+        j0 = np.clip(np.floor(u), 0, max(w - 2, 0)).astype(np.int64)
+        i0 = np.clip(np.floor(v), 0, max(h - 2, 0)).astype(np.int64)
+        fu = np.clip(u - j0, 0.0, 1.0) if w > 1 else np.zeros_like(u)
+        fv = np.clip(v - i0, 0.0, 1.0) if h > 1 else np.zeros_like(v)
+        j1 = np.minimum(j0 + 1, w - 1)
+        i1 = np.minimum(i0 + 1, h - 1)
+        cols = np.concatenate([i0 * w + j0, i0 * w + j1, i1 * w + j0, i1 * w + j1])
+        weights = dt * np.concatenate([
+            (1 - fv) * (1 - fu), (1 - fv) * fu, fv * (1 - fu), fv * fu,
+        ])
+        blocks.append(sparse.coo_matrix(
+            (weights, (np.tile(rows, 4), cols)), shape=(detectors, h * w)
+        ).tocsr())
+    return sparse.vstack(blocks, format="csr")
+
+
+class TestRadonMatrix:
+    @pytest.mark.parametrize("h, w, n_angles", [
+        (64, 64, 60), (32, 48, 17), (24, 24, 1), (1, 9, 5), (7, 1, 5),
+    ])
+    def test_bitwise_equal_to_stacked_blocks(self, h, w, n_angles):
+        angles = ct_angles(n_angles)
+        det = default_detectors(h, w)
+        got = RadonTransform(h, w, angles, det).matrix
+        ref = _reference_radon_matrix(h, w, angles, det)
+        assert got.shape == ref.shape
+        assert got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 class TestMakeTask:
