@@ -156,8 +156,7 @@ class RadonTransform:
         capacity = 4 * sum(
             int(np.count_nonzero(self._ray_points(i)[2])) for i in range(n_angles)
         )
-        fits32 = max(capacity, n_px) <= np.iinfo(np.int32).max
-        index = np.int32 if fits32 else np.int64
+        index = np.int32 if max(capacity, n_px) < 2**31 else np.int64
         data = np.empty(capacity)
         indices = np.empty(capacity, dtype=index)
         indptr = np.zeros(n_angles * d + 1, dtype=index)
@@ -172,8 +171,10 @@ class RadonTransform:
             block_ptr[:] = block.indptr[1:]
             block_ptr += nnz
             nnz = end
+        data.resize(nnz)  # shrinks in place: the matrix owns exactly its bytes
+        indices.resize(nnz)
         self.matrix = sparse.csr_matrix(
-            (data[:nnz], indices[:nnz], indptr), shape=(n_angles * d, n_px)
+            (data, indices, indptr), shape=(n_angles * d, n_px)
         )
 
     def _ray_points(self, idx):
