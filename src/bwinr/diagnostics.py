@@ -219,7 +219,8 @@ def feature_gram_condition(trace, layer):
     """Condition number of the layer's empirical feature Gram (1/N) Phi Phi^T.
 
     ``trace`` is the ``ForwardTrace`` of a forward pass over the batch of
-    interest (training passes its own step's trace, so no second forward
+    interest, read before ``backward`` turns its hidden ``post`` into
+    scratch (training passes its own step's trace, so no second forward
     runs); ``layer`` indexes a hidden layer, and row k of Phi holds neuron
     k's post-activations ``trace.post[layer][:, k]``. The 1/N
     normalization makes the result invariant to the sample count.

@@ -153,8 +153,13 @@ class RadonTransform:
 
         n_angles, d, n_px = angles.size, self.detectors, self.h * self.w
         # Each in-square sample adds 4 entries before duplicates are summed.
-        capacity = 4 * sum(
-            int(np.count_nonzero(self._ray_points(i)[2])) for i in range(n_angles)
+        # In-square points lie in the disc of radius sqrt(2), so a ray at
+        # offset s meets the square only where |t| <= sqrt(2 - s^2); one
+        # step of slack covers rounding. Pages past the fill are never
+        # touched, and the arrays are shrunk to it below.
+        reach = np.sqrt(2.0 - self.offsets**2) + self.dt
+        capacity = 4 * n_angles * int(
+            np.count_nonzero(np.abs(self.t) <= reach[:, None])
         )
         index = np.int32 if max(capacity, n_px) < 2**31 else np.int64
         data = np.empty(capacity)
@@ -177,20 +182,6 @@ class RadonTransform:
             (data, indices, indptr), shape=(n_angles * d, n_px)
         )
 
-    def _ray_points(self, idx):
-        """Sample points of angle ``idx``'s rays, and which lie in the square.
-
-        Ray point: s * normal + t * direction, normal = (cos, sin),
-        direction = (-sin, cos); arrays are detectors x steps.
-        """
-        theta = self.angles[idx]
-        cos, sin = np.cos(theta), np.sin(theta)
-        s = self.offsets[:, None]
-        t = self.t[None, :]
-        x = s * cos - t * sin
-        y = s * sin + t * cos
-        return x, y, (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
-
     def _angle_block(self, idx):
         """One angle's rows of the matrix as COO (weights, rows, cols).
 
@@ -198,7 +189,15 @@ class RadonTransform:
         the CSR conversion.
         """
         h, w = self.h, self.w
-        x, y, inside = self._ray_points(idx)
+        theta = self.angles[idx]
+        cos, sin = np.cos(theta), np.sin(theta)
+        s = self.offsets[:, None]
+        t = self.t[None, :]
+        # Ray point: s * normal + t * direction, normal = (cos, sin),
+        # direction = (-sin, cos).
+        x = s * cos - t * sin
+        y = s * sin + t * cos
+        inside = (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
         rows = np.broadcast_to(
             np.arange(self.detectors)[:, None], x.shape
         )[inside]
