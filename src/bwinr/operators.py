@@ -145,18 +145,15 @@ class RadonTransform:
         self.dt = 2.0 * half / n_steps
         self.t = -half + (np.arange(n_steps) + 0.5) * self.dt
 
-        # One CSR, filled angle by angle into arrays allocated once. Each
+        # One CSR, filled angle by angle into arrays allocated once; each
         # block still goes through scipy's COO -> CSR conversion, whose order
-        # decides how duplicate entries are summed. scipy is imported here,
-        # so only commands that build a Radon matrix load it.
+        # decides how duplicates are summed. Importing scipy here keeps it
+        # out of the commands that build no Radon matrix.
         from scipy import sparse
 
         n_angles, d, n_px = angles.size, self.detectors, self.h * self.w
-        # Each in-square sample adds 4 entries before duplicates are summed.
-        # In-square points lie in the disc of radius sqrt(2), so a ray at
-        # offset s meets the square only where |t| <= sqrt(2 - s^2); one
-        # step of slack covers rounding. Pages past the fill are never
-        # touched, and the arrays are shrunk to it below.
+        # Capacity: 4 entries per sample inside the square. Those samples
+        # lie in the disc |(s, t)| <= sqrt(2), plus one step for rounding.
         reach = np.sqrt(2.0 - self.offsets**2) + self.dt
         capacity = 4 * n_angles * int(
             np.count_nonzero(np.abs(self.t) <= reach[:, None])
