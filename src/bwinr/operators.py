@@ -169,9 +169,7 @@ class RadonTransform:
             end = nnz + block.nnz
             data[nnz:end] = block.data
             indices[nnz:end] = block.indices
-            block_ptr = indptr[i * d + 1:(i + 1) * d + 1]
-            block_ptr[:] = block.indptr[1:]
-            block_ptr += nnz
+            indptr[i * d + 1:(i + 1) * d + 1] = block.indptr[1:].astype(index) + nnz
             nnz = end
         data.resize(nnz)  # shrinks in place: the matrix owns exactly its bytes
         indices.resize(nnz)
