@@ -152,8 +152,8 @@ class TestRadon:
         assert spread <= 0.01
 
 
-# Frozen reference: the builder that compiled each angle's block to CSR and
-# stacked the blocks with scipy.sparse.vstack.
+# Frozen reference: each angle's block compiled to CSR on its own, and the
+# blocks stacked with scipy.sparse.vstack.
 def _reference_radon_matrix(h, w, angles, detectors):
     half = np.sqrt(2.0)
     offsets = -half + (2.0 * np.arange(detectors) + 1.0) * half / detectors
