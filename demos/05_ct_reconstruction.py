@@ -29,9 +29,9 @@ def main():
     phantom = shepp_logan(64)
     save_image(phantom, OUT / "ct_phantom.pgm")
     task = make_task("ct", phantom, n_angles=100)
-    sino = task.meta["sinogram"]
-    print(f"sinogram: {sino.angles.size} angles x {sino.detectors} detectors")
-    save_image(ImageGrid(sino.values / sino.values.max()), OUT / "ct_sinogram.pgm")
+    sino = task.target
+    print(f"sinogram: {task.operator.angles.size} angles x {sino.shape[1]} detectors")
+    save_image(ImageGrid(sino / sino.max()), OUT / "ct_sinogram.pgm")
 
     cfg = TrainConfig(
         activation=Activation("bwrelu", 3.0),

@@ -27,7 +27,7 @@ def main():
     scene = synthetic_scene(64)
     task = make_task("superres", scene, factor=4)
     save_image(scene, OUT / "superres_original.pgm")
-    save_image(task.meta["low_res"], OUT / "superres_input_16px.pgm")
+    save_image(ImageGrid(task.target), OUT / "superres_input_16px.pgm")
 
     cfg = TrainConfig(
         activation=Activation("bwrelu", 3.0),

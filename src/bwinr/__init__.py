@@ -66,14 +66,11 @@ from .operators import (
     ForwardTask,
     ImageGrid,
     RadonTransform,
-    Sinogram,
     ct_angles,
     default_detectors,
-    downsample,
     grid_coords,
     make_signal_task,
     make_task,
-    radon,
 )
 from .training import (
     AdamState,

@@ -41,7 +41,7 @@ from .errors import (
 from .images import load_image, save_image
 from .network import save_checkpoint
 from .operators import ImageGrid, make_task
-from .training import TrainConfig, format_field, parse_field, train
+from .training import TrainConfig, format_row, parse_field, train
 
 # Per-(task, activation) training defaults: learning rate, scale, decay,
 # epochs, width, depth. Plain relu has no published setting and borrows
@@ -78,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def resolve_image(spec):
-    """Either a path to a PGM/PNG file or 'shepp-logan:N' / 'scene:N'."""
+    """Either a path to a PGM file or 'shepp-logan:N' / 'scene:N'."""
     m = _GENERATED_IMAGE.match(spec)
     if m:
         name, size = m.group(1), int(m.group(2))
@@ -115,7 +115,6 @@ def experiment_config(task_name, args):
         pe_levels=pe_levels,
         target_loss=args.target_loss,
         track_feature_condition=args.track_cond,
-        task_label=task_name,
     )
 
 
@@ -137,19 +136,7 @@ def _output_dir(path):
 
 def write_table(path, header, rows):
     """Write a CSV with deterministic float formatting."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append(str(int(v)))
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            elif v is None or isinstance(v, float):
-                cells.append(format_field(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [format_row(row) for row in rows]
     with _writing(path):
         Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
@@ -200,15 +187,15 @@ def _run_experiment(task_name, args):
     _write_variation_report(out / "vnorm.csv", log)
 
     if task_name == "ct":
-        sino = task.meta["sinogram"]
+        op = task.operator
         rows = [
-            [sino.angles[i]] + sino.values[i].tolist()
-            for i in range(sino.angles.size)
+            [angle] + values.tolist()
+            for angle, values in zip(op.angles, task.target)
         ]
-        header = ["angle"] + [f"d{i}" for i in range(sino.detectors)]
+        header = ["angle"] + [f"d{i}" for i in range(op.detectors)]
         write_table(out / "sinogram.csv", header, rows)
     if task_name == "superres":
-        save_image(task.meta["low_res"], out / "lowres.pgm")
+        save_image(ImageGrid(task.target), out / "lowres.pgm")
 
     final = log.entries[-1]
     snr = "n/a" if final.psnr is None else f"{final.psnr:.2f} dB"
@@ -288,19 +275,17 @@ def cmd_conditioning(args):
     return 0
 
 
-def run_vnorm_sweep(task, base_cfg, c_list, target_loss, lr_per_c=None):
+def run_vnorm_sweep(task, base_cfg, c_list, target_loss):
     """Train one net per scale, early-stopped at the shared target loss.
 
-    Returns rows (c, seed, epochs_run, loss, psnr, vnorm_total). Per-scale
-    learning rates may be supplied to equalize the attained loss.
+    Returns rows (c, seed, epochs_run, loss, psnr, vnorm_total).
     """
     rows = []
-    for i, c in enumerate(c_list):
+    for c in c_list:
         cfg = replace(
             base_cfg,
             activation=Activation("bwrelu", float(c)),
             target_loss=target_loss,
-            lr0=lr_per_c[i] if lr_per_c else base_cfg.lr0,
         )
         _, log = train(cfg, task)
         final = log.entries[-1]
@@ -340,7 +325,7 @@ def cmd_vnorm_sweep(args):
 def _add_common(p, with_act=True):
     if with_act:
         p.add_argument("--image", required=True,
-                       help="PGM/PNG path, or shepp-logan:N / scene:N")
+                       help="PGM path, or shepp-logan:N / scene:N")
         p.add_argument("--act", default="bwrelu",
                        choices=["relu", "bwrelu", "sine", "gauss", "relu-pe"])
         p.add_argument("--c", type=float, default=None,

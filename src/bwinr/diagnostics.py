@@ -50,7 +50,6 @@ class GramReport:
     matrix: np.ndarray
     eigenvalues: np.ndarray       # ascending
     condition: ConditionNumber
-    tag: str
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class VariationReport:
 
     layers: tuple
     total: float
-    scale: float
 
 
 def variation_norm_shallow(input_weights, output_weights, activation):
@@ -106,16 +104,12 @@ def variation_norm_deep(params):
         )
     c = hidden[0].activation.scale
     w = params.weights
-    layers = [
-        VNORM_ATOM_FACTOR * c * float(np.sum(
-            np.linalg.norm(w[0], axis=1) * np.linalg.norm(w[1], axis=0)
-        ))
-    ]
+    layers = [variation_norm_shallow(w[0], w[1], hidden[0].activation)]
     for l in range(2, len(w)):
         layers.append(
             VNORM_ATOM_FACTOR * c * float(np.sum(np.linalg.norm(w[l], axis=0)))
         )
-    return VariationReport(layers=tuple(layers), total=sum(layers), scale=c)
+    return VariationReport(layers=tuple(layers), total=sum(layers))
 
 
 def check_relu_gram_size(K):
@@ -146,7 +140,6 @@ def build_relu_gram(K):
         matrix=gram,
         eigenvalues=eigs,
         condition=condition_number(eigs),
-        tag="relu-even",
     )
 
 
@@ -211,7 +204,6 @@ def build_dyadic_gram(J):
         matrix=gram,
         eigenvalues=eigs,
         condition=condition_number(eigs),
-        tag="bspline-dyadic",
     )
 
 

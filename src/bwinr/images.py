@@ -1,8 +1,7 @@
 """Grayscale image file I/O.
 
-Binary PGM (P5, 8-bit) is the canonical lossless format: write + read
-round-trips exactly. Grayscale PNG reading is available when Pillow is
-installed.
+Binary PGM (P5, 8-bit) is the one image format: write + read round-trips
+exactly.
 """
 
 import numpy as np
@@ -31,9 +30,13 @@ def _read_header_token(data, pos):
     return data[start:pos], pos
 
 
-def _load_pgm(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
+def load_image(path):
+    """Load an 8-bit grayscale binary PGM (P5), mapping bytes to [0, 1]."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ImageIOError(f"{path}: {exc}")
     if data[:2] != b"P5":
         raise ImageIOError(f"{path}: not a binary PGM (missing P5 magic)")
     pos = 2
@@ -58,34 +61,6 @@ def _load_pgm(path):
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return ImageGrid(pixels.astype(float) / 255.0)
-
-
-def _load_png(path):
-    try:
-        from PIL import Image
-    except ImportError:
-        raise ImageIOError(
-            f"{path}: PNG support requires Pillow (pip install Pillow)"
-        )
-    with Image.open(path) as im:
-        gray = im.convert("L")
-        pixels = np.asarray(gray, dtype=np.uint8)
-    return ImageGrid(pixels.astype(float) / 255.0)
-
-
-def load_image(path):
-    """Load an 8-bit grayscale PGM (P5) or PNG, mapping bytes to [0, 1]."""
-    path = str(path)
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-    except OSError as exc:
-        raise ImageIOError(f"{path}: {exc}")
-    if magic[:2] == b"P5":
-        return _load_pgm(path)
-    if magic[:8] == b"\x89PNG\r\n\x1a\n":
-        return _load_png(path)
-    raise ImageIOError(f"{path}: unsupported image format")
 
 
 def save_image(img, path):

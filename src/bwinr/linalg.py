@@ -32,11 +32,11 @@ def _as_matrix(a):
     return a
 
 
-def sym_eigvals(a, tol=SYM_TOL_DEFAULT):
+def sym_eigvals(a):
     """Eigenvalues of a symmetric matrix, sorted ascending.
 
-    ``a`` must be square and symmetric up to ``tol`` relative to its
-    largest entry; the symmetrized matrix (a + a.T)/2 is what gets
+    ``a`` must be square and symmetric up to ``SYM_TOL_DEFAULT`` relative
+    to its largest entry; the symmetrized matrix (a + a.T)/2 is what gets
     decomposed, so the result is insensitive to round-off asymmetry.
     """
     a = _as_matrix(a)
@@ -45,10 +45,10 @@ def sym_eigvals(a, tol=SYM_TOL_DEFAULT):
         raise ShapeError(f"matrix must be square, got {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
     asym = float(np.abs(a - a.T).max())
-    if asym > tol * scale:
+    if asym > SYM_TOL_DEFAULT * scale:
         raise InvalidInputError(
             f"matrix is not symmetric: max |a - a.T| = {asym:.3e} "
-            f"exceeds {tol:.1e} * {scale:.3e}"
+            f"exceeds {SYM_TOL_DEFAULT:.1e} * {scale:.3e}"
         )
     return np.linalg.eigvalsh((a + a.T) / 2.0)
 

@@ -72,10 +72,6 @@ class NetworkParams:
     biases: list
     seed: int
 
-    @property
-    def hidden_count(self):
-        return len(self.specs) - 1
-
     def copy(self):
         return NetworkParams(
             specs=self.specs,

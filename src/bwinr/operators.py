@@ -19,7 +19,7 @@ cotangent back to the image (the exact adjoint of ``apply``), and
 ``out_shape`` is the shape of the measurements.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,39 +47,6 @@ class ImageGrid:
     @property
     def width(self):
         return self.pixels.shape[1]
-
-
-@dataclass(frozen=True)
-class Sinogram:
-    """Line integrals indexed by (angle, detector offset)."""
-
-    angles: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != angles.size:
-            raise ShapeError(
-                f"sinogram shape {values.shape} inconsistent with "
-                f"{angles.size} angles"
-            )
-        if angles.size and (
-            np.any(np.diff(angles) <= 0)
-            or angles[0] < 0
-            or angles[-1] >= np.pi
-        ):
-            raise InvalidInputError(
-                "angles must be strictly increasing within [0, pi)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("sinogram contains non-finite values")
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def detectors(self):
-        return self.values.shape[1]
 
 
 def grid_coords(h, w):
@@ -112,11 +79,6 @@ class Downsample:
         """Spread each block mean's weight back out over its block."""
         cot = np.asarray(cotangent, dtype=float)
         return np.kron(cot, np.full((self.f, self.f), 1.0 / (self.f * self.f)))
-
-
-def downsample(img, f):
-    """f x f block averaging."""
-    return ImageGrid(Downsample(img.height, img.width, f).apply(img.pixels))
 
 
 class RadonTransform:
@@ -233,12 +195,6 @@ class RadonTransform:
         return (self.matrix.T @ values.ravel()).reshape(self.h, self.w)
 
 
-def radon(img, angles, detectors):
-    """Parallel-beam sinogram of ``img``."""
-    op = RadonTransform(img.height, img.width, angles, detectors)
-    return Sinogram(angles=op.angles, values=op.apply(img.pixels))
-
-
 class _IdentityOp:
     def __init__(self, shape):
         self.out_shape = shape
@@ -262,13 +218,11 @@ class ForwardTask:
     is the ground-truth image used for PSNR logging.
     """
 
-    name: str
     coords: np.ndarray
     target: np.ndarray
     operator: object
     render_shape: tuple
     reference: ImageGrid | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def ct_angles(count=100):
@@ -281,62 +235,40 @@ def default_detectors(h, w):
     return int(np.ceil(np.hypot(h, w)))
 
 
-def make_task(name, image, factor=4, n_angles=100, detectors=None):
+def make_task(name, image, factor=4, n_angles=100):
     """Bind an image to one of the three benchmark tasks.
 
     sigrep   -- fit the image directly on its own grid;
     superres -- fit block-downsampled measurements (factor ``f``);
-    ct       -- fit ``n_angles`` equally spaced parallel-beam projections.
+    ct       -- fit ``n_angles`` equally spaced parallel-beam projections
+                on ``default_detectors`` offsets.
     """
     h, w = image.height, image.width
     coords = grid_coords(h, w)
     if name == "sigrep":
-        return ForwardTask(
-            name=name,
-            coords=coords,
-            target=image.pixels.copy(),
-            operator=_IdentityOp((h, w)),
-            render_shape=(h, w),
-            reference=image,
-        )
-    if name == "superres":
+        op = _IdentityOp((h, w))
+    elif name == "superres":
         op = Downsample(h, w, factor)
-        low = ImageGrid(op.apply(image.pixels))
-        return ForwardTask(
-            name=name,
-            coords=coords,
-            target=low.pixels,
-            operator=op,
-            render_shape=(h, w),
-            reference=image,
-            meta={"factor": factor, "low_res": low},
-        )
-    if name == "ct":
-        angles = ct_angles(n_angles)
-        if detectors is None:
-            detectors = default_detectors(h, w)
-        op = RadonTransform(h, w, angles, detectors)
-        sino = Sinogram(angles=op.angles, values=op.apply(image.pixels))
-        return ForwardTask(
-            name=name,
-            coords=coords,
-            target=sino.values,
-            operator=op,
-            render_shape=(h, w),
-            reference=image,
-            meta={"angles": angles, "detectors": detectors, "sinogram": sino},
-        )
-    raise ConfigurationError(f"unknown task {name!r}")
+    elif name == "ct":
+        op = RadonTransform(h, w, ct_angles(n_angles), default_detectors(h, w))
+    else:
+        raise ConfigurationError(f"unknown task {name!r}")
+    return ForwardTask(
+        coords=coords,
+        target=op.apply(image.pixels.copy()),  # the identity returns its input
+        operator=op,
+        render_shape=(h, w),
+        reference=image,
+    )
 
 
-def make_signal_task(x, y, name="signal1d"):
+def make_signal_task(x, y):
     """1-D regression task (used by the univariate conditioning benchmark)."""
     x = np.asarray(x, dtype=float).reshape(-1, 1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.shape[0] != y.shape[0]:
         raise ShapeError("x and y lengths differ")
     return ForwardTask(
-        name=name,
         coords=x,
         target=y,
         operator=_IdentityOp((y.size,)),

@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     UnsupportedActivationError,
 )
-from .network import backward, forward, init_network, mlp_specs
+from .network import NetworkParams, backward, forward, init_network, mlp_specs
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -47,9 +47,7 @@ class TrainConfig:
     log_every: int | None = None       # default: max(1, epochs // 100)
     pe_levels: int | None = None       # Fourier-encode inputs when set
     target_loss: float | None = None   # early stop at this training loss
-    track_feature_condition: bool = False
-    feature_layer: int | None = None   # default: last hidden layer
-    task_label: str = ""
+    track_feature_condition: bool = False  # kappa of the last hidden layer
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -79,39 +77,27 @@ class TrainConfig:
 def lr_at(cfg, t):
     """eta0 * r^(t/T); constant eta0 for zero-epoch configs."""
     if cfg.epochs == 0:
-        return cfg.lr0
+        return float(cfg.lr0)
     return cfg.lr0 * cfg.decay ** (t / cfg.epochs)
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
-    m_weights: list
-    m_biases: list
-    v_weights: list
-    v_biases: list
+    """First and second moments over ``weights + biases``, and the step count."""
+
+    m: list
+    v: list
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam_state(params):
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        v_biases=[np.zeros_like(b) for b in params.biases],
-    )
-
-
-def _adam_update(theta, g, m, v, state, t, lr):
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("non-finite gradient encountered")
-    m_new = state.beta1 * m + (1.0 - state.beta1) * g
-    v_new = state.beta2 * v + (1.0 - state.beta2) * g * g
-    step_size = lr * math.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
-    theta_new = theta - step_size * m_new / (np.sqrt(v_new) + state.eps)
-    return theta_new, m_new, v_new
+    zeros = [np.zeros_like(p) for p in params.weights + params.biases]
+    return AdamState(m=zeros, v=[np.zeros_like(z) for z in zeros])
 
 
 def adam_step(params, grads, state, lr, weight_decay=0.0):
@@ -121,29 +107,25 @@ def adam_step(params, grads, state, lr, weight_decay=0.0):
     left unregularized).
     """
     t = state.step + 1
-    new = params.copy()
-    mw, vw, mb, vb = [], [], [], []
-    for i, (w, gw) in enumerate(zip(params.weights, grads.weights)):
-        if weight_decay:
-            gw = gw + 2.0 * weight_decay * w
-        w_new, m_new, v_new = _adam_update(
-            w, gw, state.m_weights[i], state.v_weights[i], state, t, lr
-        )
-        new.weights[i] = w_new
-        mw.append(m_new)
-        vw.append(v_new)
-    for i, (b, gb) in enumerate(zip(params.biases, grads.biases)):
-        b_new, m_new, v_new = _adam_update(
-            b, gb, state.m_biases[i], state.v_biases[i], state, t, lr
-        )
-        new.biases[i] = b_new
-        mb.append(m_new)
-        vb.append(v_new)
-    new_state = AdamState(
-        m_weights=mw, m_biases=mb, v_weights=vw, v_biases=vb, step=t,
-        beta1=state.beta1, beta2=state.beta2, eps=state.eps,
+    step_size = lr * math.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
+    n_weights = len(params.weights)
+    theta, m, v = [], [], []
+    for i, (p, g) in enumerate(zip(params.weights + params.biases,
+                                   grads.weights + grads.biases)):
+        if weight_decay and i < n_weights:
+            g = g + 2.0 * weight_decay * p
+        if not np.all(np.isfinite(g)):
+            raise NumericalError("non-finite gradient encountered")
+        m.append(ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g)
+        v.append(ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g)
+        theta.append(p - step_size * m[i] / (np.sqrt(v[i]) + ADAM_EPS))
+    new = NetworkParams(
+        specs=params.specs,
+        weights=theta[:n_weights],
+        biases=theta[n_weights:],
+        seed=params.seed,
     )
-    return new, new_state
+    return new, AdamState(m=m, v=v, step=t)
 
 
 @dataclass(frozen=True)
@@ -167,6 +149,20 @@ def format_field(value):
     return repr(float(value))
 
 
+def format_row(values):
+    """One CSV line: bools and ints as integers, floats and None by
+    ``format_field``, anything else by ``str``."""
+    cells = []
+    for v in values:
+        if isinstance(v, (bool, int, np.integer)):
+            cells.append(str(int(v)))
+        elif v is None or isinstance(v, float):
+            cells.append(format_field(v))
+        else:
+            cells.append(str(v))
+    return ",".join(cells)
+
+
 def parse_field(text):
     """Inverse of ``format_field``; raises ValueError on other text."""
     if text == "":
@@ -184,16 +180,10 @@ class TrainLog:
     final_render: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_csv(self):
-        lines = [LOG_CSV_HEADER]
-        for e in self.entries:
-            lines.append(",".join([
-                str(e.epoch),
-                format_field(e.loss),
-                format_field(e.psnr),
-                format_field(e.lr),
-                format_field(e.vnorm_total),
-                format_field(e.feat_cond),
-            ]))
+        lines = [LOG_CSV_HEADER] + [
+            format_row((e.epoch, e.loss, e.psnr, e.lr, e.vnorm_total, e.feat_cond))
+            for e in self.entries
+        ]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -252,10 +242,7 @@ def _diagnostics_entry(cfg, task, params, trace, epoch, loss, lr, rendered):
         pass
     feat = floored = None
     if cfg.track_feature_condition:
-        layer = cfg.feature_layer
-        if layer is None:
-            layer = len(params.specs) - 2
-        cond = feature_gram_condition(trace, layer)
+        cond = feature_gram_condition(trace, len(params.specs) - 2)
         feat, floored = cond.value, cond.floored
     return LogEntry(
         epoch=epoch, loss=loss, psnr=snr, lr=lr,

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 import bwinr.cli
-from bwinr import load_image, shepp_logan, synthetic_scene
+from bwinr import (
+    Downsample,
+    ImageGrid,
+    RadonTransform,
+    ct_angles,
+    load_image,
+    save_image,
+    shepp_logan,
+    synthetic_scene,
+)
 from bwinr.cli import main, read_table
 from bwinr.network import load_checkpoint
 from bwinr.training import TrainLog
@@ -106,6 +115,10 @@ class TestCt:
         assert header[0] == "angle"
         assert len(header) == 1 + det
         assert len(rows) == 10
+        table = np.array(rows)
+        assert np.array_equal(table[:, 0], ct_angles(10))
+        expected = RadonTransform(16, 16, ct_angles(10), det).apply(shepp_logan(16).pixels)
+        assert np.array_equal(table[:, 1:], expected)
 
 
 class TestSuperres:
@@ -119,6 +132,9 @@ class TestSuperres:
         assert code == 0
         low = load_image(out / "lowres.pgm")
         assert low.pixels.shape == (4, 4)
+        expected = tmp_path / "expected.pgm"
+        save_image(ImageGrid(Downsample(16, 16, 4).apply(synthetic_scene(16).pixels)), expected)
+        assert (out / "lowres.pgm").read_bytes() == expected.read_bytes()
 
 
 class TestConditioning:
@@ -203,7 +219,8 @@ class TestExitCodes:
         ["superres", "--factor", "0"],
         ["superres", "--factor", "-2"],
         ["ct", "--angles", "0"],
-    ], ids=["factor0", "factor-2", "angles0"])
+        ["ct", "--angles", "-3"],
+    ], ids=["factor0", "factor-2", "angles0", "angles-3"])
     def test_degenerate_operator_is_config_error(self, tmp_path, capsys, command):
         code = run(command + [
             "--image", "scene:8", "--epochs", "1", "--width", "4",

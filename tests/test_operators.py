@@ -10,12 +10,18 @@ from bwinr import (
     ShapeError,
     ct_angles,
     default_detectors,
-    downsample,
     grid_coords,
     make_signal_task,
     make_task,
-    radon,
 )
+
+
+def _downsample(img, f):
+    return Downsample(img.height, img.width, f).apply(img.pixels)
+
+
+def _radon(img, angles, detectors):
+    return RadonTransform(img.height, img.width, angles, detectors).apply(img.pixels)
 
 
 class TestGridCoords:
@@ -45,20 +51,20 @@ class TestGridCoords:
 class TestDownsample:
     def test_constant_image(self):
         img = ImageGrid(np.full((8, 8), 0.37))
-        low = downsample(img, 4)
-        assert np.allclose(low.pixels, 0.37)
+        low = _downsample(img, 4)
+        assert np.allclose(low, 0.37)
 
     def test_block_mean(self):
         img = ImageGrid(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert downsample(img, 2).pixels[0, 0] == pytest.approx(0.5)
+        assert _downsample(img, 2)[0, 0] == pytest.approx(0.5)
 
     def test_factor_four_shape(self):
         img = ImageGrid(np.zeros((256, 256)))
-        assert downsample(img, 4).pixels.shape == (64, 64)
+        assert _downsample(img, 4).shape == (64, 64)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
-            downsample(ImageGrid(np.zeros((6, 6))), 4)
+            _downsample(ImageGrid(np.zeros((6, 6))), 4)
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(0)
@@ -77,8 +83,8 @@ class TestDownsample:
 
 class TestRadon:
     def test_zero_image(self):
-        sino = radon(ImageGrid(np.zeros((16, 16))), ct_angles(10), 23)
-        assert np.all(sino.values == 0.0)
+        sino = _radon(ImageGrid(np.zeros((16, 16))), ct_angles(10), 23)
+        assert np.all(sino == 0.0)
 
     def test_central_chord_converges_to_two(self):
         # line integral of the unit square through the center has length 2;
@@ -87,8 +93,8 @@ class TestRadon:
         errors = []
         for n in (32, 128):
             img = ImageGrid(np.ones((n, n)))
-            sino = radon(img, angles, 65)  # odd count -> central offset 0
-            errors.append(abs(sino.values[0, 32] - 2.0))
+            sino = _radon(img, angles, 65)  # odd count -> central offset 0
+            errors.append(abs(sino[0, 32] - 2.0))
         assert errors[0] <= 4.0 / 32
         assert errors[1] <= 4.0 / 128
         assert errors[1] < errors[0]
@@ -99,10 +105,10 @@ class TestRadon:
         B = rng.standard_normal((24, 24))
         angles = ct_angles(12)
         det = default_detectors(24, 24)
-        lhs = radon(ImageGrid(2.0 * A + 3.0 * B), angles, det).values
+        lhs = _radon(ImageGrid(2.0 * A + 3.0 * B), angles, det)
         rhs = (
-            2.0 * radon(ImageGrid(A), angles, det).values
-            + 3.0 * radon(ImageGrid(B), angles, det).values
+            2.0 * _radon(ImageGrid(A), angles, det)
+            + 3.0 * _radon(ImageGrid(B), angles, det)
         )
         scale = np.abs(lhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-10 * scale
@@ -146,8 +152,8 @@ class TestRadon:
         img = np.exp(-((xx / 0.3) ** 2 + (yy / 0.25) ** 2))
         img[np.sqrt(xx**2 + yy**2) > 0.7] = 0.0
         angles = ct_angles(24)
-        sino = radon(ImageGrid(img), angles, default_detectors(h, w))
-        sums = sino.values.sum(axis=1)
+        sino = _radon(ImageGrid(img), angles, default_detectors(h, w))
+        sums = sino.sum(axis=1)
         spread = (sums.max() - sums.min()) / sums.mean()
         assert spread <= 0.01
 

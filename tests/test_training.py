@@ -25,7 +25,7 @@ from bwinr import (
     train,
     univariate_benchmark,
 )
-from bwinr.training import LOG_CSV_HEADER, LogEntry, prepare_inputs
+from bwinr.training import ADAM_BETA2, ADAM_EPS, LOG_CSV_HEADER, LogEntry, prepare_inputs
 
 
 def small_cfg(**kw):
@@ -89,7 +89,7 @@ class TestAdamStep:
         state = init_adam_state(p)
         lr = 1e-2
         q, new_state = adam_step(p, grads, state, lr)
-        eps_eff = state.eps * math.sqrt(1.0 / (1.0 - state.beta2))
+        eps_eff = ADAM_EPS * math.sqrt(1.0 / (1.0 - ADAM_BETA2))
         expected = -lr * g / (abs(g) + eps_eff)
         assert q.weights[0][0, 0] - 0.5 == pytest.approx(expected, rel=1e-12)
         assert new_state.step == 1
