@@ -67,20 +67,27 @@ class CodedDerivative:
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
+def _same_order(a, b):
+    """Same shape, both contiguous in one memory order (C or Fortran)."""
+    return a.shape == b.shape and (
+        (a.flags.c_contiguous and b.flags.c_contiguous)
+        or (a.flags.f_contiguous and b.flags.f_contiguous)
+    )
+
+
 def times_derivative(x, deriv):
     """``x *= deriv`` in place, for either form of derivative ``apply`` returns.
 
-    A ``CodedDerivative`` is gathered block by block, so ``x`` must then be
-    C-contiguous; each product is the same IEEE product as with the dense
-    derivative.
+    A ``CodedDerivative`` is gathered block by block in memory order, so
+    ``x`` must then have the codes' shape and memory order (C or Fortran);
+    each product is the same IEEE product as with the dense derivative.
     """
     if not isinstance(deriv, CodedDerivative):
         x *= deriv
         return x
-    shape = deriv.codes.shape
-    if x.shape != shape or not x.flags.c_contiguous:
-        raise ShapeError(f"expected a C-contiguous array of shape {shape}")
-    flat_x, flat_codes = x.reshape(-1), deriv.codes.reshape(-1)
+    if not _same_order(x, deriv.codes):
+        raise ShapeError(f"expected shape {deriv.codes.shape} in the codes' order")
+    flat_x, flat_codes = x.ravel(order="K"), deriv.codes.ravel(order="K")
     for lo in range(0, flat_x.size, _BLOCK):
         hi = lo + _BLOCK
         flat_x[lo:hi] *= np.take(deriv.table, flat_codes[lo:hi])
@@ -90,10 +97,11 @@ def times_derivative(x, deriv):
 def _wavelet_scaled(z, c, out):
     """psi(c*z) into ``out``, c*psi'(c*z) as segment codes, by flat blocks.
 
-    The codes take the right-derivative at kinks.
+    The blocks walk memory order; ``out`` and the codes share ``z``'s. The
+    codes take the right-derivative at kinks.
     """
-    codes = np.empty(z.shape, dtype=np.int8)
-    flat_z, flat_out, flat_codes = z.reshape(-1), out.reshape(-1), codes.reshape(-1)
+    codes = np.empty_like(z, dtype=np.int8)
+    flat_z, flat_out, flat_codes = (v.ravel(order="K") for v in (z, out, codes))
     for lo in range(0, flat_z.size, _BLOCK):
         hi = lo + _BLOCK
         u = c * flat_z[lo:hi]
@@ -171,17 +179,19 @@ def apply(activation, z, out=None):
     through. The ReLU derivative at 0 follows the right-derivative
     convention (1), matching ``psi_prime`` at its kinks.
 
-    The values go to ``out`` when given: a C-contiguous float64 array
-    shaped like ``z``, which may be ``z`` itself. Without ``out``, ``z`` is
-    left unchanged. The bwrelu and relu derivatives are ``CodedDerivative``
-    objects (``np.asarray`` makes them dense); the others are arrays.
+    The values go to ``out`` when given: a float64 array with ``z``'s
+    shape and memory order (both C- or both Fortran-contiguous), which may
+    be ``z`` itself. Without ``out``, ``z`` is left unchanged. Values and
+    derivatives keep ``z``'s memory order. The bwrelu and relu derivatives
+    are ``CodedDerivative`` objects (``np.asarray`` makes them dense); the
+    others are arrays.
     """
     z = np.asarray(z, dtype=float)
     if out is None:
-        out = np.empty(z.shape)
-    elif out.shape != z.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        out = np.empty_like(z)
+    elif out.dtype != np.float64 or not _same_order(out, z):
         raise ShapeError(
-            f"out must be a C-contiguous float64 array of shape {z.shape}"
+            f"out must be a float64 array of shape {z.shape} in z's memory order"
         )
     kind = activation.kind
     if kind == "identity":

@@ -91,6 +91,9 @@ class Gradients:
 class ForwardTrace:
     """Per-layer tensors captured by ``forward`` for use in ``backward``.
 
+    Every ``post`` buffer is feature-major (Fortran order), and so are the
+    derivative codes and dense derivatives that ``apply`` derives from it.
+
     ``backward`` consumes the trace: it writes each hidden layer's
     cotangent into that layer's ``post`` buffer once nothing reads it
     again, so afterwards ``post[:-1]`` hold scratch values. ``post[-1]``
@@ -98,7 +101,7 @@ class ForwardTrace:
     """
 
     inputs: np.ndarray           # (n, in_dim) batch fed to the first layer
-    post: list                   # (n, out_l) post-activations per layer
+    post: list                   # (n, out_l) post-activations per layer, F order
     deriv: list                  # (n, out_l) derivatives: arrays or CodedDerivative
 
 
@@ -154,7 +157,13 @@ def init_network(specs, seed):
 
 
 def forward(params, X):
-    """Network output and the trace needed to backpropagate through it."""
+    """Network output and the trace needed to backpropagate through it.
+
+    Each layer's pre-activation goes into a fresh (n, width) buffer in
+    Fortran order, which the activation then overwrites in place. Feature
+    major, the batch is the M dimension of every GEMM, so OpenBLAS packs
+    only the (width, width) weight, never the n-row batch.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"input batch must be 2-D, got ndim={X.ndim}")
@@ -166,7 +175,8 @@ def forward(params, X):
     a = X
     post, deriv = [], []
     for spec, w, b in zip(params.specs, params.weights, params.biases):
-        z = a @ w.T
+        z = np.empty((X.shape[0], spec.out_dim), order="F")
+        np.matmul(a, w.T, out=z)
         z += b
         a, d = apply(spec.activation, z, out=z)
         post.append(a)
@@ -181,6 +191,9 @@ def backward(params, trace, dY):
     and batch; mismatched shapes raise InvalidInputError. The trace's
     hidden ``post`` buffers are reused as cotangent storage, so after
     this call ``trace.post[:-1]`` hold scratch values (see ForwardTrace).
+    A one-unit layer's cotangent ``delta @ W`` has K = 1, so it is the
+    broadcast product ``delta * W`` (bitwise the GEMM's value, without a
+    GEMM into a Fortran-ordered buffer).
     """
     dY = np.asarray(dY, dtype=float)
     n_layers = len(params.weights)
@@ -202,7 +215,9 @@ def backward(params, trace, dY):
         d_biases[l] = delta.sum(axis=0)
         if l > 0:
             # Nothing reads a_in after d_weights[l]; it takes the product.
-            delta = np.matmul(delta, params.weights[l], out=a_in)
+            w = params.weights[l]
+            product = np.multiply if w.shape[0] == 1 else np.matmul
+            delta = product(delta, w, out=a_in)
             delta = times_derivative(delta, trace.deriv[l - 1])
     return Gradients(weights=d_weights, biases=d_biases)
 

@@ -5,11 +5,9 @@ Run as ``pytest tests/test_acceptance.py -v -s``. The gate holds criteria
 two cores, most of it in the dyadic Gram builds and the univariate fits.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from bwinr import (
     NetworkParams,
@@ -25,18 +23,13 @@ from bwinr import (
     grad_check,
     init_network,
     make_signal_task,
-    make_task,
     mlp_specs,
     psi,
     RadonTransform,
-    shepp_logan,
-    synthetic_scene,
     train,
     univariate_benchmark,
-    variation_norm_deep,
 )
 from bwinr.cli import main as cli_main
-from bwinr.cli import run_vnorm_sweep
 
 
 def report(criterion, ok, detail, elapsed=None):

@@ -166,6 +166,16 @@ class TestApplyInPlace:
         assert np.array_equal(np.asarray(derivs_in), np.asarray(derivs))
 
     @pytest.mark.parametrize("act", KINDS_UNDER_TEST, ids=lambda a: a.kind)
+    def test_fortran_order_matches_c_order(self, act):
+        z = kink_inputs(2.0)
+        vals, derivs = apply(act, z.copy())
+        z_f = np.asfortranarray(z)
+        vals_f, derivs_f = apply(act, z_f, out=z_f)
+        assert vals_f is z_f
+        assert np.array_equal(vals_f, vals)
+        assert np.array_equal(np.asarray(derivs_f), np.asarray(derivs))
+
+    @pytest.mark.parametrize("act", KINDS_UNDER_TEST, ids=lambda a: a.kind)
     def test_z_unchanged_without_out(self, act):
         z = kink_inputs(2.0)
         before = z.copy()
@@ -198,6 +208,12 @@ class TestApplyInPlace:
         for x in (np.zeros((3, 4)), np.zeros((3, 4)).T):
             with pytest.raises(ShapeError):
                 times_derivative(x, derivs)
+
+    def test_times_derivative_rejects_c_array_against_fortran_codes(self):
+        _, derivs = apply(Activation("relu"), np.zeros((4, 3), order="F"))
+        assert derivs.codes.flags.f_contiguous
+        with pytest.raises(ShapeError):
+            times_derivative(np.zeros((4, 3)), derivs)
 
 
 class TestExpandToRelus:

@@ -231,10 +231,16 @@ def _reference_apply(act, z):
     return slope * u + _REF_INTERCEPT[seg], c * slope
 
 
+def _feature_major_matmul(a, b):
+    # The GEMM the network runs: the product lands in a Fortran-ordered
+    # (n, width) buffer.
+    return np.matmul(a, b, out=np.empty((a.shape[0], b.shape[1]), order="F"))
+
+
 def _reference_forward_backward(params, X, dY):
     a, post, deriv = X, [], []
     for spec, w, b in zip(params.specs, params.weights, params.biases):
-        a, d = _reference_apply(spec.activation, a @ w.T + b)
+        a, d = _reference_apply(spec.activation, _feature_major_matmul(a, w.T) + b)
         post.append(a)
         deriv.append(d)
     delta = dY * deriv[-1]
@@ -243,21 +249,24 @@ def _reference_forward_backward(params, X, dY):
         d_weights.insert(0, delta.T @ (X if l == 0 else post[l - 1]))
         d_biases.insert(0, delta.sum(axis=0))
         if l > 0:
-            delta = (delta @ params.weights[l]) * deriv[l - 1]
+            delta = _feature_major_matmul(delta, params.weights[l]) * deriv[l - 1]
     return a, post, deriv, d_weights, d_biases
 
 
 class TestLeanLayers:
-    @pytest.mark.parametrize("act, pe", [
-        (BW3, None), (Activation("relu"), 4), (Activation("sine", 5.0), None),
-    ], ids=["bwrelu", "relu-pe", "sine"])
-    def test_matches_dense_reference_bitwise(self, act, pe):
+    # Three output units take backward's GEMM branch for the output layer;
+    # one unit takes the broadcast product.
+    @pytest.mark.parametrize("act, pe, outputs", [
+        (BW3, None, 1), (Activation("relu"), 4, 1),
+        (Activation("sine", 5.0), None, 1), (BW3, None, 3),
+    ], ids=["bwrelu", "relu-pe", "sine", "bwrelu-3-outputs"])
+    def test_matches_dense_reference_bitwise(self, act, pe, outputs):
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, (800, 2))
         if pe is not None:
             X = positional_encoding(X, pe)
-        p = init_network(mlp_specs([X.shape[1], 24, 24, 1], act), 5)
-        dY = rng.standard_normal((800, 1))
+        p = init_network(mlp_specs([X.shape[1], 24, 24, outputs], act), 5)
+        dY = rng.standard_normal((800, outputs))
         Y, trace = forward(p, X)
         ref_Y, ref_post, ref_deriv, ref_dw, ref_db = _reference_forward_backward(
             p, X, dY
@@ -291,6 +300,15 @@ class TestLeanLayers:
         forward(p, np.zeros((5, 2)))
         assert calls == ["bwinr.network"] * len(p.specs)
 
+    @pytest.mark.parametrize("act", [BW3, Activation("relu")], ids=["bwrelu", "relu"])
+    def test_hidden_buffers_and_codes_are_feature_major(self, act):
+        p = init_network(mlp_specs([2, 16, 16, 1], act), 0)
+        X = np.random.default_rng(1).uniform(-1, 1, (50, 2))
+        _, trace = forward(p, X)
+        for a, d in zip(trace.post[:-1], trace.deriv[:-1]):
+            assert a.flags.f_contiguous and not a.flags.c_contiguous
+            assert d.codes.flags.f_contiguous and not d.codes.flags.c_contiguous
+
     def test_bwrelu_trace_bytes(self):
         # Post-activations at 8 B/element, hidden derivative codes at
         # 1 B/element, plus the inputs and the dense identity derivative.
@@ -311,6 +329,14 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         X = rng.uniform(-1, 1, (20, 2))
         T = rng.standard_normal((20, 1))
+        assert grad_check(p, X, T) <= 1e-5
+
+    def test_bwrelu_three_outputs(self):
+        # The output layer's cotangent runs through the GEMM branch.
+        p = init_network(mlp_specs([2, 8, 8, 3], BW3), 0)
+        rng = np.random.default_rng(1)
+        X = rng.uniform(-1, 1, (20, 2))
+        T = rng.standard_normal((20, 3))
         assert grad_check(p, X, T) <= 1e-5
 
     def test_sine(self):
