@@ -73,6 +73,9 @@ _GENERATED_IMAGE = re.compile(r"^(shepp-logan|scene):(\d+)$")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # exact flags only: --c is not --c-list
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigurationError(message)
 
@@ -88,22 +91,21 @@ def resolve_image(spec):
     return load_image(spec)
 
 
-def experiment_config(task_name, args):
-    """Translate CLI flags into a validated TrainConfig."""
-    base = TASK_DEFAULTS[task_name]
-    act_name = args.act
-    try:
-        act_defaults = DEFAULTS[(task_name, act_name)]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown activation {act_name!r} for task {task_name}"
-        )
-    scale = args.c if args.c is not None else act_defaults["scale"]
-    kind = {"gauss": "gaussian", "relu-pe": "relu"}.get(act_name, act_name)
-    activation = Activation(kind, scale if kind in ("bwrelu", "sine", "gaussian") else None)
-    pe_levels = args.pe_levels if act_name == "relu-pe" else None
+def experiment_config(args):
+    """Translate the flags of ``args.task`` into a validated TrainConfig.
+
+    ``Activation`` rejects a ``--c`` for relu and relu-pe.
+    """
+    base = TASK_DEFAULTS[args.task]
+    act_defaults = DEFAULTS[(args.task, args.act)]
+    pe_levels = args.pe_levels
+    if args.act == "relu-pe":
+        pe_levels = 10 if pe_levels is None else pe_levels
+    elif pe_levels is not None:
+        raise ConfigurationError(f"--pe-levels needs --act relu-pe, not {args.act}")
+    kind = {"gauss": "gaussian", "relu-pe": "relu"}.get(args.act, args.act)
     return TrainConfig(
-        activation=activation,
+        activation=Activation(kind, act_defaults["scale"] if args.c is None else args.c),
         epochs=args.epochs if args.epochs is not None else base["epochs"],
         lr0=args.lr if args.lr is not None else act_defaults["lr"],
         decay=args.decay if args.decay is not None else base["decay"],
@@ -116,6 +118,16 @@ def experiment_config(task_name, args):
         target_loss=args.target_loss,
         track_feature_condition=args.track_cond,
     )
+
+
+def _config_and_task(args):
+    """Check every flag, then build (cfg, task): a rejected flag builds nothing."""
+    cfg = experiment_config(args)
+    # n_angles (--angles) and factor are in args only when given.
+    operator = {k: v for k, v in vars(args).items() if k in ("n_angles", "factor")}
+    if set(operator) - {{"ct": "n_angles", "superres": "factor"}.get(args.task)}:
+        raise ConfigurationError("--angles is for task ct, --factor for superres")
+    return cfg, make_task(args.task, resolve_image(args.image), **operator)
 
 
 @contextmanager
@@ -157,25 +169,9 @@ def read_table(path):
     return header, rows
 
 
-def _write_variation_report(path, log):
-    final = log.entries[-1]
-    if final.vnorm_layers is None:
-        return False
-    rows = [(f"{i + 1}", v) for i, v in enumerate(final.vnorm_layers)]
-    rows.append(("total", final.vnorm_total))
-    write_table(path, ["layer", "vnorm"], rows)
-    return True
-
-
-def _run_experiment(task_name, args):
-    image = resolve_image(args.image)
-    extra = {}
-    if task_name == "superres":
-        extra["factor"] = args.factor
-    if task_name == "ct":
-        extra["n_angles"] = args.angles
-    task = make_task(task_name, image, **extra)
-    cfg = experiment_config(task_name, args)
+def cmd_train(args):
+    """fit, ct and superres: train one net on ``args.task`` and write its outputs."""
+    cfg, task = _config_and_task(args)
     params, log = train(cfg, task)
 
     out = _output_dir(args.out)
@@ -184,9 +180,13 @@ def _run_experiment(task_name, args):
         (out / "log.csv").write_text(log.to_csv(), encoding="ascii")
     with _writing(out / "checkpoint.txt"):
         save_checkpoint(params, out / "checkpoint.txt")
-    _write_variation_report(out / "vnorm.csv", log)
+    final = log.entries[-1]
+    if final.vnorm_layers is not None:
+        rows = [(f"{i + 1}", v) for i, v in enumerate(final.vnorm_layers)]
+        rows.append(("total", final.vnorm_total))
+        write_table(out / "vnorm.csv", ["layer", "vnorm"], rows)
 
-    if task_name == "ct":
+    if args.task == "ct":
         op = task.operator
         rows = [
             [angle] + values.tolist()
@@ -194,28 +194,15 @@ def _run_experiment(task_name, args):
         ]
         header = ["angle"] + [f"d{i}" for i in range(op.detectors)]
         write_table(out / "sinogram.csv", header, rows)
-    if task_name == "superres":
+    if args.task == "superres":
         save_image(ImageGrid(task.target), out / "lowres.pgm")
 
-    final = log.entries[-1]
     snr = "n/a" if final.psnr is None else f"{final.psnr:.2f} dB"
     print(
-        f"{task_name}: epochs={final.epoch} loss={final.loss:.3e} psnr={snr}"
+        f"{args.task}: epochs={final.epoch} loss={final.loss:.3e} psnr={snr}"
         f" -> {out}"
     )
     return 0
-
-
-def cmd_fit(args):
-    return _run_experiment("sigrep", args)
-
-
-def cmd_ct(args):
-    return _run_experiment("ct", args)
-
-
-def cmd_superres(args):
-    return _run_experiment("superres", args)
 
 
 def cmd_conditioning(args):
@@ -303,9 +290,7 @@ def cmd_vnorm_sweep(args):
         raise ConfigurationError("--c-list needs at least one scale")
     for c in args.c_list:
         Activation("bwrelu", c)  # rejects a non-positive scale before training
-    cfg = experiment_config(args.task, args)
-    image = resolve_image(args.image)
-    task = make_task(args.task, image, n_angles=args.angles, factor=args.factor)
+    cfg, task = _config_and_task(args)
     rows = run_vnorm_sweep(task, cfg, args.c_list, args.target_loss)
     out = _output_dir(args.out)
     write_table(
@@ -322,26 +307,30 @@ def cmd_vnorm_sweep(args):
     return 0
 
 
-def _add_common(p, with_act=True):
+def _add_training(p, with_act=True):
+    """Flags of the training subcommands; vnorm-sweep fixes the activation."""
+    p.add_argument("--image", required=True,
+                   help="PGM path, or shepp-logan:N / scene:N")
     if with_act:
-        p.add_argument("--image", required=True,
-                       help="PGM path, or shepp-logan:N / scene:N")
         p.add_argument("--act", default="bwrelu",
-                       choices=["relu", "bwrelu", "sine", "gauss", "relu-pe"])
+                       choices=sorted({act for _, act in DEFAULTS}))
         p.add_argument("--c", type=float, default=None,
-                       help="activation scale (c / omega0 / sigma0)")
-        p.add_argument("--width", type=int, default=None)
-        p.add_argument("--layers", type=int, default=None,
-                       help="number of hidden layers")
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--decay", type=float, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--wd", type=float, default=0.0, help="weight decay")
-        p.add_argument("--log-every", type=int, default=None)
-        p.add_argument("--target-loss", type=float, default=None)
-        p.add_argument("--pe-levels", type=int, default=10)
+                       help="c / omega0 / sigma0; relu and relu-pe take none")
+        p.add_argument("--pe-levels", type=int, default=None,
+                       help="Fourier levels of relu-pe (default 10)")
         p.add_argument("--track-cond", action="store_true",
                        help="log feature-Gram condition numbers")
+    else:
+        p.set_defaults(act="bwrelu", c=None, pe_levels=None, track_cond=False)
+    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--layers", type=int, default=None,
+                   help="number of hidden layers")
+    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--decay", type=float, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--wd", type=float, default=0.0, help="weight decay")
+    p.add_argument("--log-every", type=int, default=None)
+    p.add_argument("--target-loss", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
 
@@ -358,32 +347,38 @@ def build_parser():
     parser = _Parser(prog="bwinr", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Absent unless given, so make_task's defaults (100, 4) are the only ones.
+    angles = dict(dest="n_angles", metavar="ANGLES", type=int,
+                  default=argparse.SUPPRESS)
+    factor = dict(type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("fit", help="fit an image directly")
-    _add_common(p)
-    p.set_defaults(func=cmd_fit)
+    _add_training(p)
+    p.set_defaults(func=cmd_train, task="sigrep")
 
     p = sub.add_parser("ct", help="CT reconstruction")
-    _add_common(p)
-    p.add_argument("--angles", type=int, default=100)
-    p.set_defaults(func=cmd_ct)
+    _add_training(p)
+    p.add_argument("--angles", **angles)
+    p.set_defaults(func=cmd_train, task="ct")
 
     p = sub.add_parser("superres", help="super-resolution")
-    _add_common(p)
-    p.add_argument("--factor", type=int, default=4)
-    p.set_defaults(func=cmd_superres)
+    _add_training(p)
+    p.add_argument("--factor", **factor)
+    p.set_defaults(func=cmd_train, task="superres")
 
     p = sub.add_parser("conditioning", help="Gram spectra reports")
-    _add_common(p, with_act=False)
+    p.add_argument("--seed", type=int, default=0,
+                   help="no effect: nothing here is random")
+    p.add_argument("--out", default="out")
     p.add_argument("--j-max", type=int, default=8)
     p.add_argument("--k-list", type=_int_list, default=[8, 16, 32, 64, 128, 256])
     p.set_defaults(func=cmd_conditioning)
 
     p = sub.add_parser("vnorm-sweep", help="PSNR vs variation norm over scales")
-    _add_common(p)
-    p.add_argument("--task", default="ct", choices=["ct", "sigrep", "superres"])
-    p.add_argument("--angles", type=int, default=100)
-    p.add_argument("--factor", type=int, default=4)
+    _add_training(p, with_act=False)
+    p.add_argument("--task", default="ct", choices=sorted(TASK_DEFAULTS))
+    p.add_argument("--angles", **angles)
+    p.add_argument("--factor", **factor)
     p.add_argument("--c-list", type=_float_list, default=[1.0, 2.0, 3.0, 5.0])
     p.set_defaults(func=cmd_vnorm_sweep)
     return parser

@@ -133,8 +133,9 @@ def build_relu_gram(K):
     def antideriv(x):
         return x**3 / 3.0 - s * x**2 / 2.0 + p * x
 
+    # s, p and m are symmetric bitwise (IEEE +, * and max commute), so the
+    # Gram is too.
     gram = antideriv(1.0) - antideriv(m)
-    gram = (gram + gram.T) / 2.0
     eigs = sym_eigvals(gram)
     return GramReport(
         matrix=gram,

@@ -62,7 +62,6 @@ class ConditionNumber(NamedTuple):
 
     value: float
     floored: bool
-    floor: float
 
 
 def condition_number(eigs):
@@ -82,8 +81,8 @@ def condition_number(eigs):
         )
     floor = COND_FLOOR_REL * lam_max
     if lam_min < floor:
-        return ConditionNumber(lam_max / floor, True, floor)
-    return ConditionNumber(lam_max / lam_min, False, floor)
+        return ConditionNumber(lam_max / floor, True)
+    return ConditionNumber(lam_max / lam_min, False)
 
 
 def gershgorin_discs(a):

@@ -133,8 +133,10 @@ class RadonTransform:
             indices[nnz:end] = block.indices
             indptr[i * d + 1:(i + 1) * d + 1] = block.indptr[1:].astype(index) + nnz
             nnz = end
-        data.resize(nnz)  # shrinks in place: the matrix owns exactly its bytes
-        indices.resize(nnz)
+        # Shrink in place: the matrix owns exactly its bytes. No view of either
+        # exists; a trace function's frame-locals copy would fail a refcheck.
+        data.resize(nnz, refcheck=False)
+        indices.resize(nnz, refcheck=False)
         self.matrix = sparse.csr_matrix(
             (data, indices, indptr), shape=(n_angles * d, n_px)
         )

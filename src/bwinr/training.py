@@ -66,11 +66,17 @@ class TrainConfig:
             raise ConfigurationError(
                 f"width/depth must be >= 1, got {self.width}/{self.depth}"
             )
+        if self.pe_levels is not None and self.pe_levels < 1:
+            raise ConfigurationError(f"pe_levels must be >= 1, got {self.pe_levels}")
+        if self.log_every is not None and self.log_every < 1:
+            raise ConfigurationError(f"log_every must be >= 1, got {self.log_every}")
+        if self.target_loss is not None and not self.target_loss >= 0:
+            raise ConfigurationError(f"target_loss must be >= 0, got {self.target_loss}")
 
     @property
     def diagnostic_period(self):
         if self.log_every is not None:
-            return max(1, self.log_every)
+            return self.log_every
         return max(1, self.epochs // 100)
 
 
@@ -137,7 +143,6 @@ class LogEntry:
     vnorm_total: float | None = None
     vnorm_layers: tuple | None = None
     feat_cond: float | None = None
-    feat_cond_floored: bool | None = None
 
 
 def format_field(value):
@@ -240,14 +245,12 @@ def _diagnostics_entry(cfg, task, params, trace, epoch, loss, lr, rendered):
         vnorm_total, vnorm_layers = report.total, report.layers
     except UnsupportedActivationError:
         pass
-    feat = floored = None
+    feat = None
     if cfg.track_feature_condition:
-        cond = feature_gram_condition(trace, len(params.specs) - 2)
-        feat, floored = cond.value, cond.floored
+        feat = feature_gram_condition(trace, len(params.specs) - 2).value
     return LogEntry(
         epoch=epoch, loss=loss, psnr=snr, lr=lr,
-        vnorm_total=vnorm_total, vnorm_layers=vnorm_layers,
-        feat_cond=feat, feat_cond_floored=floored,
+        vnorm_total=vnorm_total, vnorm_layers=vnorm_layers, feat_cond=feat,
     )
 
 

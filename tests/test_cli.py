@@ -18,13 +18,24 @@ from bwinr import (
     shepp_logan,
     synthetic_scene,
 )
-from bwinr.cli import main, read_table
+from bwinr.cli import (
+    DEFAULTS,
+    TASK_DEFAULTS,
+    build_parser,
+    experiment_config,
+    main,
+    read_table,
+)
 from bwinr.network import load_checkpoint
 from bwinr.training import TrainLog
 
 
 def run(args):
     return main(args)
+
+
+def _no_task(*args, **kwargs):
+    raise AssertionError("make_task ran before the flags were checked")
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
@@ -187,6 +198,14 @@ class TestVnormSweep:
         assert header == ["c", "seed", "epochs", "loss", "psnr", "vnorm_total"]
         assert [row[0] for row in rows] == [1.0, 3.0]
 
+    @pytest.mark.parametrize("task", sorted(TASK_DEFAULTS))
+    def test_config_is_the_tasks_bwrelu_default(self, task):
+        command = {"sigrep": "fit"}.get(task, task)
+        parse = build_parser().parse_args
+        sweep = parse(["vnorm-sweep", "--task", task, "--image", "scene:8"])
+        single = parse([command, "--image", "scene:8"])
+        assert experiment_config(sweep) == experiment_config(single)
+
     def test_requires_target_loss(self, tmp_path):
         code = run([
             "vnorm-sweep", "--image", "shepp-logan:16",
@@ -251,10 +270,7 @@ class TestExitCodes:
     def test_vnorm_sweep_flags_checked_before_task(
         self, tmp_path, capsys, monkeypatch, flags
     ):
-        def no_task(*args, **kwargs):
-            raise AssertionError("make_task ran before the flags were checked")
-
-        monkeypatch.setattr(bwinr.cli, "make_task", no_task)
+        monkeypatch.setattr(bwinr.cli, "make_task", _no_task)
         out = tmp_path / "o"
         code = run([
             "vnorm-sweep", "--task", "ct", "--image", "shepp-logan:16",
@@ -262,6 +278,57 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--act", "relu", "--c", "5"],
+        ["superres", "--act", "relu-pe", "--c", "5"],
+        ["fit", "--act", "bwrelu", "--pe-levels", "3"],
+        ["fit", "--act", "relu-pe", "--pe-levels", "0"],
+        ["fit", "--log-every", "0"],
+        ["ct", "--lr", "-1"],
+        ["vnorm-sweep", "--act", "bwrelu"],
+        ["vnorm-sweep", "--c", "7"],
+        ["vnorm-sweep", "--pe-levels", "3"],
+        ["vnorm-sweep", "--track-cond"],
+        ["vnorm-sweep", "--task", "sigrep", "--angles", "7"],
+        ["vnorm-sweep", "--task", "ct", "--factor", "2"],
+    ], ids=["relu-c", "relu-pe-c", "bwrelu-pe-levels", "pe-levels0", "log-every0",
+            "ct-lr", "sweep-act", "sweep-c-not-c-list", "sweep-pe-levels",
+            "sweep-track-cond", "sweep-sigrep-angles", "sweep-ct-factor"])
+    def test_ignored_or_invalid_flag_builds_no_task(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.setattr(bwinr.cli, "make_task", _no_task)
+        out = tmp_path / "o"
+        code = run([*command, "--image", "shepp-logan:16", "--target-loss", "1e-3",
+                    "--out", str(out)])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_task_and_activation_has_defaults(self):
+        acts = {act for _, act in DEFAULTS}
+        assert set(DEFAULTS) == {(task, act) for task in TASK_DEFAULTS for act in acts}
+
+    def test_relu_pe_encodes_ten_levels_by_default(self):
+        args = build_parser().parse_args(
+            ["fit", "--image", "scene:8", "--act", "relu-pe"]
+        )
+        assert experiment_config(args).pe_levels == 10
+
+    def test_tiny_generated_image_is_config_error(self, tmp_path, capsys):
+        code = run(["fit", "--image", "scene:3", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_other_package_error_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run([
+            "superres", "--image", "scene:18", "--factor", "4", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_bad_flag_is_config_error(self, tmp_path):

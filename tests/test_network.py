@@ -457,6 +457,20 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("line, bad", [
+        ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu inf"),
+        ("tensor b0", "tensor W9"),
+    ], ids=["scale-inf", "tensor-tag"])
+    def test_bad_structure_line_rejected(self, tmp_path, line, bad):
+        p = init_network(mlp_specs([2, 3, 1], BW3), 0)
+        path = tmp_path / "net.txt"
+        save_checkpoint(p, path)
+        lines = path.read_text().splitlines()
+        lines[lines.index(line)] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(path)
+
     def test_trailing_content_rejected(self, tmp_path):
         p = init_network(mlp_specs([1, 2, 1], BW3), 0)
         path = tmp_path / "net.txt"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -206,6 +208,24 @@ class TestRadonMatrix:
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+
+    def test_build_under_a_line_tracer(self):
+        # A trace function (pdb, coverage, profilers) makes CPython copy the
+        # frame's locals, adding references to the arrays the build shrinks.
+        angles, det = ct_angles(5), default_detectors(8, 8)
+        ref = RadonTransform(8, 8, angles, det).matrix
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            got = RadonTransform(8, 8, angles, det).matrix
+        finally:
+            sys.settrace(previous)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class TestMakeTask:

@@ -13,6 +13,7 @@ from bwinr import (
     Gradients,
     ImageGrid,
     NumericalError,
+    ShapeError,
     TrainConfig,
     TrainLog,
     adam_step,
@@ -239,6 +240,10 @@ class TestTrainLoop:
             small_cfg(epochs=-1)
         with pytest.raises(ConfigurationError):
             small_cfg(weight_decay=-0.1)
+        for bad in (dict(pe_levels=0), dict(log_every=0), dict(log_every=-5),
+                    dict(target_loss=-1.0), dict(target_loss=math.nan)):
+            with pytest.raises(ConfigurationError):
+                small_cfg(**bad)
 
 
 def _count_forwards(monkeypatch):
@@ -322,3 +327,8 @@ class TestTrainLogCsv:
         ])
         line = log.to_csv().splitlines()[1]
         assert line == "3,1.0,,0.1,,"
+
+    def test_wrong_header_rejected(self):
+        text = TrainLog().to_csv().replace("feat_cond", "kappa")
+        with pytest.raises(ShapeError):
+            TrainLog.from_csv(text)
