@@ -66,8 +66,6 @@ from .operators import (
     ForwardTask,
     ImageGrid,
     RadonTransform,
-    ct_angles,
-    default_detectors,
     grid_coords,
     make_signal_task,
     make_task,

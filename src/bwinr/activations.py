@@ -119,8 +119,8 @@ def _wavelet_scaled(z, c, out):
 class Activation:
     """Activation kind plus its scale parameter.
 
-    ``bwrelu``, ``sine`` and ``gaussian`` require ``scale`` > 0 (the c,
-    omega_0, sigma_0 knobs); ``relu`` and ``identity`` carry none.
+    ``bwrelu``, ``sine`` and ``gaussian`` require a finite ``scale`` > 0
+    (the c, omega_0, sigma_0 knobs); ``relu`` and ``identity`` carry none.
     """
 
     kind: str
@@ -132,9 +132,9 @@ class Activation:
                 f"unknown activation kind {self.kind!r}; expected one of {KINDS}"
             )
         if self.kind in _SCALED_KINDS:
-            if self.scale is None or not self.scale > 0:
+            if self.scale is None or not 0 < self.scale < np.inf:
                 raise ConfigurationError(
-                    f"{self.kind} requires a positive scale, got {self.scale!r}"
+                    f"{self.kind} requires a finite positive scale, got {self.scale!r}"
                 )
         elif self.scale is not None:
             raise ConfigurationError(
@@ -245,8 +245,8 @@ def positional_encoding(x, levels):
     if levels < 1:
         raise ConfigurationError(f"levels must be >= 1, got {levels}")
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
+    if x.ndim != 2:
+        raise ShapeError(f"expected an (n, d) batch, got shape {x.shape}")
     n, d = x.shape
     freqs = np.pi * np.exp2(np.arange(levels))
     # (n, d, levels) phase tensor -> interleave sin/cos on the last axis
@@ -254,5 +254,4 @@ def positional_encoding(x, levels):
     out = np.empty((n, d, levels, 2))
     out[..., 0] = np.sin(phase)
     out[..., 1] = np.cos(phase)
-    out = out.reshape(n, 2 * d * levels)
-    return out[0] if squeeze else out
+    return out.reshape(n, 2 * d * levels)

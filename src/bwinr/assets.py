@@ -26,12 +26,10 @@ _SHEPP_LOGAN_ELLIPSES = [
 ]
 
 
-def shepp_logan(h, w=None):
-    """Modified Shepp-Logan head phantom, intensities clipped to [0, 1]."""
-    if w is None:
-        w = h
-    xx, yy = grid_coords(h, w).T.reshape(2, h, w)
-    img = np.zeros((h, w))
+def shepp_logan(n):
+    """n x n modified Shepp-Logan head phantom, intensities clipped to [0, 1]."""
+    xx, yy = grid_coords(n, n).T.reshape(2, n, n)
+    img = np.zeros((n, n))
     for amp, a, b, x0, y0, deg in _SHEPP_LOGAN_ELLIPSES:
         th = np.deg2rad(deg)
         xr = (xx - x0) * np.cos(th) + (yy - y0) * np.sin(th)
@@ -40,16 +38,14 @@ def shepp_logan(h, w=None):
     return ImageGrid(np.clip(img, 0.0, 1.0))
 
 
-def synthetic_scene(h, w=None):
-    """Deterministic grayscale scene mixing smooth shading, edges and texture.
+def synthetic_scene(n):
+    """Deterministic n x n grayscale scene: smooth shading, edges, texture.
 
     Built to stress both ends of the frequency axis: a slow illumination
     gradient, hard-edged shapes, a radial chirp patch and a fine diagonal
     grating.
     """
-    if w is None:
-        w = h
-    xx, yy = grid_coords(h, w).T.reshape(2, h, w)
+    xx, yy = grid_coords(n, n).T.reshape(2, n, n)
     img = 0.35 + 0.25 * xx + 0.15 * yy
 
     # hard-edged disk and bar

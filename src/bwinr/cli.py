@@ -94,7 +94,8 @@ def resolve_image(spec):
 def experiment_config(args):
     """Translate the flags of ``args.task`` into a validated TrainConfig.
 
-    ``Activation`` rejects a ``--c`` for relu and relu-pe.
+    ``Activation`` rejects a ``--c`` for relu and relu-pe, and a scale
+    that is not finite and positive for the others.
     """
     base = TASK_DEFAULTS[args.task]
     act_defaults = DEFAULTS[(args.task, args.act)]
@@ -104,8 +105,12 @@ def experiment_config(args):
     elif pe_levels is not None:
         raise ConfigurationError(f"--pe-levels needs --act relu-pe, not {args.act}")
     kind = {"gauss": "gaussian", "relu-pe": "relu"}.get(args.act, args.act)
+    try:
+        activation = Activation(kind, act_defaults["scale"] if args.c is None else args.c)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--c for --act {args.act}: {exc}") from exc
     return TrainConfig(
-        activation=Activation(kind, act_defaults["scale"] if args.c is None else args.c),
+        activation=activation,
         epochs=args.epochs if args.epochs is not None else base["epochs"],
         lr0=args.lr if args.lr is not None else act_defaults["lr"],
         decay=args.decay if args.decay is not None else base["decay"],
@@ -175,7 +180,7 @@ def cmd_train(args):
     params, log = train(cfg, task)
 
     out = _output_dir(args.out)
-    save_image(ImageGrid(np.clip(log.final_render, 0.0, 1.0)), out / "recon.pgm")
+    save_image(ImageGrid(log.final_render), out / "recon.pgm")  # clamps to [0, 1]
     with _writing(out / "log.csv"):
         (out / "log.csv").write_text(log.to_csv(), encoding="ascii")
     with _writing(out / "checkpoint.txt"):
@@ -400,6 +405,9 @@ def main(argv=None):
         return 3
     except BwinrError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

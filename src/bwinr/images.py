@@ -73,4 +73,4 @@ def save_image(img, path):
             fh.write(header)
             fh.write(quantized.tobytes())
     except OSError as exc:
-        raise ImageIOError(f"{path}: {exc}")
+        raise ImageIOError(f"cannot write {path}: {exc}")

@@ -82,26 +82,28 @@ class Downsample:
 
 
 class RadonTransform:
-    """Parallel-beam Radon operator for a fixed geometry, as a task operator.
+    """Parallel-beam Radon operator of an h x w image, as a task operator.
 
-    ``apply`` integrates the bilinearly interpolated h x w image along every
-    (angle, offset) ray; ``vjp`` is the exact transpose of that linear map;
-    ``out_shape`` is (number of angles, detectors). The sampling pattern is
-    compiled once into the CSR ``matrix``.
+    The geometry follows from the image size and ``n_angles``: ``angles``
+    are ``n_angles`` equally spaced angles in [0, pi), and ``detectors``
+    is the image diagonal in pixels, rounded up. ``apply`` integrates the
+    bilinearly interpolated image along every (angle, offset) ray; ``vjp``
+    is the exact transpose of that linear map; ``out_shape`` is
+    (n_angles, detectors). The sampling pattern is compiled once into the
+    CSR ``matrix``.
     """
 
-    def __init__(self, h, w, angles, detectors):
-        if detectors < 1:
-            raise ConfigurationError(f"detectors must be >= 1, got {detectors}")
-        angles = np.asarray(angles, dtype=float)
-        if angles.size < 1:
-            raise ConfigurationError("the Radon transform needs >= 1 angle")
+    def __init__(self, h, w, n_angles):
+        if n_angles < 1:
+            raise ConfigurationError(
+                f"the Radon transform needs >= 1 angle, got {n_angles}"
+            )
         self.h, self.w = int(h), int(w)
-        self.angles = angles
-        self.detectors = int(detectors)
-        self.out_shape = (angles.size, self.detectors)
+        self.angles = np.arange(n_angles) * np.pi / n_angles
+        d = self.detectors = int(np.ceil(np.hypot(h, w)))
+        self.out_shape = (n_angles, d)
         half = np.sqrt(2.0)
-        self.offsets = -half + (2.0 * np.arange(detectors) + 1.0) * half / detectors
+        self.offsets = -half + (2.0 * np.arange(d) + 1.0) * half / d
         step = 2.0 / max(self.h, self.w)  # one pixel spacing
         n_steps = int(np.ceil(2.0 * half / step))
         self.dt = 2.0 * half / n_steps
@@ -113,7 +115,7 @@ class RadonTransform:
         # out of the commands that build no Radon matrix.
         from scipy import sparse
 
-        n_angles, d, n_px = angles.size, self.detectors, self.h * self.w
+        n_px = self.h * self.w
         # Capacity: 4 entries per sample inside the square. Those samples
         # lie in the disc |(s, t)| <= sqrt(2), plus one step for rounding.
         reach = np.sqrt(2.0 - self.offsets**2) + self.dt
@@ -227,23 +229,13 @@ class ForwardTask:
     reference: ImageGrid | None = None
 
 
-def ct_angles(count=100):
-    """``count`` equally spaced projection angles in [0, pi)."""
-    return np.arange(count) * np.pi / count
-
-
-def default_detectors(h, w):
-    """Detector count: the image diagonal in pixels, rounded up."""
-    return int(np.ceil(np.hypot(h, w)))
-
-
 def make_task(name, image, factor=4, n_angles=100):
     """Bind an image to one of the three benchmark tasks.
 
     sigrep   -- fit the image directly on its own grid;
     superres -- fit block-downsampled measurements (factor ``f``);
     ct       -- fit ``n_angles`` equally spaced parallel-beam projections
-                on ``default_detectors`` offsets.
+                (see ``RadonTransform``).
     """
     h, w = image.height, image.width
     coords = grid_coords(h, w)
@@ -252,7 +244,7 @@ def make_task(name, image, factor=4, n_angles=100):
     elif name == "superres":
         op = Downsample(h, w, factor)
     elif name == "ct":
-        op = RadonTransform(h, w, ct_angles(n_angles), default_detectors(h, w))
+        op = RadonTransform(h, w, n_angles)
     else:
         raise ConfigurationError(f"unknown task {name!r}")
     return ForwardTask(

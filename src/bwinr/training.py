@@ -52,15 +52,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.lr0 > 0:
-            raise ConfigurationError(f"lr0 must be positive, got {self.lr0}")
+        if not 0 < self.lr0 < math.inf:
+            raise ConfigurationError(f"lr0 must be finite and positive, got {self.lr0}")
         if not 0 < self.decay <= 1:
             raise ConfigurationError(
                 f"decay must be in (0, 1], got {self.decay}"
             )
-        if self.weight_decay < 0:
+        if not 0 <= self.weight_decay < math.inf:
             raise ConfigurationError(
-                f"weight_decay must be >= 0, got {self.weight_decay}"
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
             )
         if self.width < 1 or self.depth < 1:
             raise ConfigurationError(

@@ -15,8 +15,6 @@ from bwinr import (
     TrainConfig,
     build_dyadic_gram,
     build_relu_gram,
-    ct_angles,
-    default_detectors,
     Downsample,
     dyadic_system,
     forward,
@@ -149,10 +147,8 @@ def test_criterion_6_operator_adjoints():
     rng = np.random.default_rng(1)
     h = w = 64
     X = rng.standard_normal((h, w))
-    angles = ct_angles(50)
-    det = default_detectors(h, w)
-    U = rng.standard_normal((50, det))
-    op = RadonTransform(h, w, angles, det)
+    op = RadonTransform(h, w, 50)
+    U = rng.standard_normal((50, op.detectors))
     lhs = np.sum(op.apply(X) * U)
     rhs = np.sum(X * op.vjp(U))
     radon_err = abs(lhs - rhs) / abs(lhs)

@@ -131,6 +131,10 @@ class TestApply:
             Activation("sine", -1.0)
         with pytest.raises(ConfigurationError):
             Activation("relu", 2.0)
+        for kind in ("bwrelu", "sine", "gaussian"):
+            for scale in (np.inf, np.nan):
+                with pytest.raises(ConfigurationError, match="finite positive scale"):
+                    Activation(kind, scale)
 
 
 KINDS_UNDER_TEST = [
@@ -291,6 +295,10 @@ class TestPositionalEncoding:
                 assert out[0, k] == pytest.approx(np.sin(arg))
                 assert out[0, k + 1] == pytest.approx(np.cos(arg))
                 k += 2
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError):
+            positional_encoding(np.zeros(2), 3)
 
     def test_bad_levels(self):
         with pytest.raises(ConfigurationError):

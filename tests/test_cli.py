@@ -12,7 +12,6 @@ from bwinr import (
     Downsample,
     ImageGrid,
     RadonTransform,
-    ct_angles,
     load_image,
     save_image,
     shepp_logan,
@@ -34,8 +33,8 @@ def run(args):
     return main(args)
 
 
-def _no_task(*args, **kwargs):
-    raise AssertionError("make_task ran before the flags were checked")
+def _built_too_early(*args, **kwargs):
+    raise AssertionError("an image or task was built before the flags were checked")
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
@@ -127,9 +126,10 @@ class TestCt:
         assert len(header) == 1 + det
         assert len(rows) == 10
         table = np.array(rows)
-        assert np.array_equal(table[:, 0], ct_angles(10))
-        expected = RadonTransform(16, 16, ct_angles(10), det).apply(shepp_logan(16).pixels)
-        assert np.array_equal(table[:, 1:], expected)
+        op = RadonTransform(16, 16, 10)
+        assert op.detectors == det
+        assert np.array_equal(table[:, 0], op.angles)
+        assert np.array_equal(table[:, 1:], op.apply(shepp_logan(16).pixels))
 
 
 class TestSuperres:
@@ -270,7 +270,8 @@ class TestExitCodes:
     def test_vnorm_sweep_flags_checked_before_task(
         self, tmp_path, capsys, monkeypatch, flags
     ):
-        monkeypatch.setattr(bwinr.cli, "make_task", _no_task)
+        monkeypatch.setattr(bwinr.cli, "resolve_image", _built_too_early)
+        monkeypatch.setattr(bwinr.cli, "make_task", _built_too_early)
         out = tmp_path / "o"
         code = run([
             "vnorm-sweep", "--task", "ct", "--image", "shepp-logan:16",
@@ -293,19 +294,48 @@ class TestExitCodes:
         ["vnorm-sweep", "--track-cond"],
         ["vnorm-sweep", "--task", "sigrep", "--angles", "7"],
         ["vnorm-sweep", "--task", "ct", "--factor", "2"],
+        ["fit", "--lr", "inf"],
+        ["fit", "--wd", "nan"],
+        ["fit", "--wd", "inf"],
+        ["fit", "--c", "inf"],
+        ["fit", "--act", "sine", "--c", "inf"],
+        ["fit", "--act", "gauss", "--c", "inf"],
+        ["vnorm-sweep", "--c-list", "1,inf"],
+        ["fit", "--width", "0"],
+        ["fit", "--layers", "0"],
     ], ids=["relu-c", "relu-pe-c", "bwrelu-pe-levels", "pe-levels0", "log-every0",
             "ct-lr", "sweep-act", "sweep-c-not-c-list", "sweep-pe-levels",
-            "sweep-track-cond", "sweep-sigrep-angles", "sweep-ct-factor"])
+            "sweep-track-cond", "sweep-sigrep-angles", "sweep-ct-factor",
+            "lr-inf", "wd-nan", "wd-inf", "c-inf", "sine-c-inf", "gauss-c-inf",
+            "sweep-c-list-inf", "width0", "layers0"])
     def test_ignored_or_invalid_flag_builds_no_task(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        monkeypatch.setattr(bwinr.cli, "make_task", _no_task)
+        monkeypatch.setattr(bwinr.cli, "resolve_image", _built_too_early)
+        monkeypatch.setattr(bwinr.cli, "make_task", _built_too_early)
         out = tmp_path / "o"
         code = run([*command, "--image", "shepp-logan:16", "--target-loss", "1e-3",
                     "--out", str(out)])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scale_error_names_the_chosen_activation(self, tmp_path, capsys):
+        code = run(["fit", "--image", "scene:8", "--act", "relu-pe", "--c", "5",
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "relu-pe" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_1_in_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+
+        monkeypatch.setattr(bwinr.cli, "resolve_image", exhausted)
+        code = run(["fit", "--image", "scene:100000", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: out of memory: Unable to allocate 149. GiB for an array\n"
+        assert "Traceback" not in err
 
     def test_every_task_and_activation_has_defaults(self):
         acts = {act for _, act in DEFAULTS}
@@ -354,7 +384,7 @@ class TestExitCodes:
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt"])
+    @pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt", "recon.pgm"])
     def test_unwritable_output_file_is_io_error(self, tmp_path, capsys, name):
         out = tmp_path / "o"
         (out / name).mkdir(parents=True)

@@ -56,6 +56,10 @@ class TestVariationNormShallow:
         )
         assert variation_norm_shallow(w, v, Activation("relu")) == pytest.approx(expected)
 
+    def test_mismatched_neuron_counts_rejected(self):
+        with pytest.raises(ShapeError):
+            variation_norm_shallow(np.ones((3, 2)), np.ones((1, 4)), Activation("bwrelu", 1.0))
+
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedActivationError):
             variation_norm_shallow(
@@ -113,6 +117,11 @@ class TestVariationNormDeep:
 
     def test_non_wavelet_net_rejected(self):
         p = init_network(mlp_specs([2, 4, 1], Activation("relu")), 0)
+        with pytest.raises(UnsupportedActivationError):
+            variation_norm_deep(p)
+
+    def test_net_without_hidden_layer_rejected(self):
+        p = init_network(mlp_specs([2, 1], Activation("bwrelu", 1.0)), 0)
         with pytest.raises(UnsupportedActivationError):
             variation_norm_deep(p)
 

@@ -62,6 +62,10 @@ class TestSavePgm:
         save_image(ImageGrid(np.zeros((2, 2))), path)
         assert path.read_bytes().endswith(bytes(4))
 
+    def test_unwritable_path_is_io_error(self, tmp_path):
+        with pytest.raises(ImageIOError):
+            save_image(ImageGrid(np.zeros((2, 2))), tmp_path)  # a directory
+
     def test_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
         img = ImageGrid(rng.integers(0, 256, (17, 9)).astype(float) / 255.0)

@@ -55,6 +55,18 @@ class TestSymEigvals:
         assert np.trace(a) == pytest.approx(sym_eigvals(a).sum(), abs=1e-9)
 
 
+@pytest.mark.parametrize("fn", [sym_eigvals, gershgorin_discs])
+@pytest.mark.parametrize("a, error", [
+    (np.ones(3), ShapeError),
+    (np.zeros((2, 3)), ShapeError),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), InvalidInputError),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), InvalidInputError),
+], ids=["1-d", "non-square", "nan", "inf"])
+def test_matrix_input_checked(fn, a, error):
+    with pytest.raises(error):
+        fn(a)
+
+
 class TestConditionNumber:
     def test_identity(self):
         cond = condition_number(sym_eigvals(np.eye(5)))

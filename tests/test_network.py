@@ -10,6 +10,7 @@ from bwinr import (
     ConfigurationError,
     InvalidInputError,
     LayerSpec,
+    ShapeError,
     backward,
     expand_to_relus,
     forward,
@@ -85,6 +86,16 @@ class TestInit:
         u = 3.0 * (X @ p.weights[0].T + p.biases[0])
         assert np.abs(u[..., None] - WAVELET_SHIFTS).min() > 1e-4
 
+    @pytest.mark.parametrize("build", [
+        lambda: LayerSpec(0, 4, BW3),
+        lambda: LayerSpec(2, 0, BW3),
+        lambda: mlp_specs([3], BW3),
+        lambda: init_network([], 0),
+    ], ids=["zero-in-dim", "zero-out-dim", "one-size", "no-layers"])
+    def test_degenerate_architecture_rejected(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
     def test_mismatched_chain_rejected(self):
         bad = [
             LayerSpec(2, 8, BW3),
@@ -147,6 +158,11 @@ class TestForward:
         with pytest.raises(Exception):
             forward(p, np.zeros((3, 5)))
 
+    def test_one_dimensional_batch_rejected(self):
+        p = init_network(mlp_specs([2, 4, 1], BW3), 0)
+        with pytest.raises(ShapeError):
+            forward(p, np.zeros(2))
+
 
 class TestBackward:
     def test_linear_layer_hand_gradients(self):
@@ -170,6 +186,13 @@ class TestBackward:
         other = init_network(mlp_specs([2, 7, 1], BW3), 1)
         X = np.zeros((4, 2))
         _, trace = forward(other, X)
+        with pytest.raises(InvalidInputError):
+            backward(p, trace, np.zeros((4, 1)))
+
+    def test_trace_of_another_depth_rejected(self):
+        p = init_network(mlp_specs([2, 6, 1], BW3), 1)
+        deeper = init_network(mlp_specs([2, 6, 6, 1], BW3), 1)
+        _, trace = forward(deeper, np.zeros((4, 2)))
         with pytest.raises(InvalidInputError):
             backward(p, trace, np.zeros((4, 1)))
 
@@ -414,6 +437,11 @@ class TestNetworkProperties:
         loss, g = mse_and_gradients(p, X, np.zeros((4, 1)))
         assert loss >= 0.0
         assert [gw.shape for gw in g.weights] == [w.shape for w in p.weights]
+
+    def test_mse_misshaped_target_rejected(self):
+        p = init_network(mlp_specs([2, 5, 1], BW3), 0)
+        with pytest.raises(ShapeError):
+            mse_and_gradients(p, np.zeros((4, 2)), np.zeros(4))
 
 
 class TestCheckpoint:

@@ -8,10 +8,9 @@ from bwinr import (
     ConfigurationError,
     Downsample,
     ImageGrid,
+    InvalidInputError,
     RadonTransform,
     ShapeError,
-    ct_angles,
-    default_detectors,
     grid_coords,
     make_signal_task,
     make_task,
@@ -22,11 +21,27 @@ def _downsample(img, f):
     return Downsample(img.height, img.width, f).apply(img.pixels)
 
 
-def _radon(img, angles, detectors):
-    return RadonTransform(img.height, img.width, angles, detectors).apply(img.pixels)
+def _radon(img, n_angles):
+    return RadonTransform(img.height, img.width, n_angles).apply(img.pixels)
+
+
+class TestImageGrid:
+    @pytest.mark.parametrize("pixels, error", [
+        (np.zeros(4), ShapeError),
+        (np.array([[0.0, np.nan]]), InvalidInputError),
+        (np.array([[np.inf, 0.0]]), InvalidInputError),
+    ], ids=["1-d", "nan", "inf"])
+    def test_bad_pixels_rejected(self, pixels, error):
+        with pytest.raises(error):
+            ImageGrid(pixels)
 
 
 class TestGridCoords:
+    @pytest.mark.parametrize("h, w", [(0, 3), (3, 0)])
+    def test_empty_grid_rejected(self, h, w):
+        with pytest.raises(ShapeError):
+            grid_coords(h, w)
+
     def test_single_pixel(self):
         assert np.array_equal(grid_coords(1, 1), [[0.0, 0.0]])
 
@@ -85,18 +100,17 @@ class TestDownsample:
 
 class TestRadon:
     def test_zero_image(self):
-        sino = _radon(ImageGrid(np.zeros((16, 16))), ct_angles(10), 23)
+        sino = _radon(ImageGrid(np.zeros((16, 16))), 10)
         assert np.all(sino == 0.0)
 
     def test_central_chord_converges_to_two(self):
-        # line integral of the unit square through the center has length 2;
-        # refine the quadrature (via image size) and watch the error shrink
-        angles = np.array([0.0])
+        # every vertical chord of the unit square (angle 0, offset |s| < 1)
+        # has length 2; refine the quadrature (via image size) and watch the
+        # error of the central detector's chord shrink
         errors = []
         for n in (32, 128):
-            img = ImageGrid(np.ones((n, n)))
-            sino = _radon(img, angles, 65)  # odd count -> central offset 0
-            errors.append(abs(sino[0, 32] - 2.0))
+            sino = _radon(ImageGrid(np.ones((n, n))), 1)
+            errors.append(abs(sino[0, sino.shape[1] // 2] - 2.0))
         assert errors[0] <= 4.0 / 32
         assert errors[1] <= 4.0 / 128
         assert errors[1] < errors[0]
@@ -105,46 +119,45 @@ class TestRadon:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((24, 24))
         B = rng.standard_normal((24, 24))
-        angles = ct_angles(12)
-        det = default_detectors(24, 24)
-        lhs = _radon(ImageGrid(2.0 * A + 3.0 * B), angles, det)
-        rhs = (
-            2.0 * _radon(ImageGrid(A), angles, det)
-            + 3.0 * _radon(ImageGrid(B), angles, det)
-        )
+        lhs = _radon(ImageGrid(2.0 * A + 3.0 * B), 12)
+        rhs = 2.0 * _radon(ImageGrid(A), 12) + 3.0 * _radon(ImageGrid(B), 12)
         scale = np.abs(lhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(2)
         h = w = 64
-        angles = ct_angles(40)
-        det = default_detectors(h, w)
+        op = RadonTransform(h, w, 40)
         X = rng.standard_normal((h, w))
-        U = rng.standard_normal((40, det))
-        op = RadonTransform(h, w, angles, det)
+        U = rng.standard_normal(op.out_shape)
         lhs = np.sum(op.apply(X) * U)
         rhs = np.sum(X * op.vjp(U))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_zero_cotangent(self):
-        g = RadonTransform(16, 16, ct_angles(5), 23).vjp(np.zeros((5, 23)))
+        g = RadonTransform(16, 16, 5).vjp(np.zeros((5, 23)))
         assert np.all(g == 0.0)
+
+    def test_wrong_shapes_rejected(self):
+        op = RadonTransform(16, 16, 5)
+        with pytest.raises(ShapeError):
+            op.apply(np.zeros((16, 15)))
+        with pytest.raises(ShapeError):
+            op.vjp(np.zeros((23, 5)))
 
     def test_no_angles_rejected(self):
         with pytest.raises(ConfigurationError):
-            RadonTransform(16, 16, ct_angles(0), 23)
+            RadonTransform(16, 16, 0)
 
     def test_single_ray_cotangent_is_local(self):
         h = w = 32
-        angles = np.array([0.0])
-        det = 33
-        cot = np.zeros((1, det))
-        cot[0, 16] = 1.0  # central vertical ray, x = 0
-        g = RadonTransform(h, w, angles, det).vjp(cot)
+        op = RadonTransform(h, w, 1)  # angle 0: vertical rays x = offset
+        cot = np.zeros(op.out_shape)
+        cot[0, op.detectors // 2] = 1.0  # the ray just right of x = 0
+        g = op.vjp(cot)
         cols = np.nonzero(np.abs(g).sum(axis=0))[0]
         x_cols = -1.0 + (2.0 * cols + 1.0) / w
-        # bilinear reach: at most ~1.5 pixels from the line x=0
+        # bilinear reach: at most ~1.5 pixels from the line x = 0
         assert np.abs(x_cols).max() <= 3.0 / w + 1e-12
 
     def test_mass_preservation_across_angles(self):
@@ -153,8 +166,7 @@ class TestRadon:
         xx, yy = np.meshgrid(np.linspace(-1, 1, w), np.linspace(-1, 1, h))
         img = np.exp(-((xx / 0.3) ** 2 + (yy / 0.25) ** 2))
         img[np.sqrt(xx**2 + yy**2) > 0.7] = 0.0
-        angles = ct_angles(24)
-        sino = _radon(ImageGrid(img), angles, default_detectors(h, w))
+        sino = _radon(ImageGrid(img), 24)
         sums = sino.sum(axis=1)
         spread = (sums.max() - sums.min()) / sums.mean()
         assert spread <= 0.01
@@ -198,9 +210,12 @@ class TestRadonMatrix:
         (64, 64, 60), (32, 48, 17), (24, 24, 1), (1, 9, 5), (7, 1, 5),
     ])
     def test_bitwise_equal_to_stacked_blocks(self, h, w, n_angles):
-        angles = ct_angles(n_angles)
-        det = default_detectors(h, w)
-        got = RadonTransform(h, w, angles, det).matrix
+        angles = np.arange(n_angles) * np.pi / n_angles
+        det = int(np.ceil(np.hypot(h, w)))
+        op = RadonTransform(h, w, n_angles)
+        assert op.angles.tobytes() == angles.tobytes()
+        assert op.detectors == det
+        got = op.matrix
         ref = _reference_radon_matrix(h, w, angles, det)
         assert got.shape == ref.shape
         assert got.has_canonical_format
@@ -212,8 +227,7 @@ class TestRadonMatrix:
     def test_build_under_a_line_tracer(self):
         # A trace function (pdb, coverage, profilers) makes CPython copy the
         # frame's locals, adding references to the arrays the build shrinks.
-        angles, det = ct_angles(5), default_detectors(8, 8)
-        ref = RadonTransform(8, 8, angles, det).matrix
+        ref = RadonTransform(8, 8, 5).matrix
 
         def tracer(frame, event, arg):
             return tracer
@@ -221,7 +235,7 @@ class TestRadonMatrix:
         previous = sys.gettrace()
         sys.settrace(tracer)
         try:
-            got = RadonTransform(8, 8, angles, det).matrix
+            got = RadonTransform(8, 8, 5).matrix
         finally:
             sys.settrace(previous)
         for name in ("indptr", "indices", "data"):
@@ -232,7 +246,7 @@ class TestMakeTask:
     def test_ct_task_shapes_paper_geometry(self):
         img = ImageGrid(np.random.default_rng(0).uniform(0, 1, (326, 435)))
         task = make_task("ct", img, n_angles=100)
-        det = default_detectors(326, 435)
+        det = int(np.ceil(np.hypot(326, 435)))
         assert task.target.shape == (100, det)
         assert task.operator.out_shape == (100, det)
         assert task.coords.shape == (326 * 435, 2)
@@ -254,6 +268,10 @@ class TestMakeTask:
         img = ImageGrid(np.random.default_rng(2).uniform(0, 1, (8, 8)))
         task = make_task("sigrep", img)
         assert np.array_equal(task.target, img.pixels)
+
+    def test_signal_task_lengths_must_match(self):
+        with pytest.raises(ShapeError):
+            make_signal_task(np.zeros(5), np.zeros(4))
 
     def test_unknown_task(self):
         with pytest.raises(ConfigurationError):

@@ -241,7 +241,10 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             small_cfg(weight_decay=-0.1)
         for bad in (dict(pe_levels=0), dict(log_every=0), dict(log_every=-5),
-                    dict(target_loss=-1.0), dict(target_loss=math.nan)):
+                    dict(target_loss=-1.0), dict(target_loss=math.nan),
+                    dict(width=0), dict(depth=0),
+                    dict(lr0=math.inf), dict(lr0=math.nan),
+                    dict(weight_decay=math.inf), dict(weight_decay=math.nan)):
             with pytest.raises(ConfigurationError):
                 small_cfg(**bad)
 
