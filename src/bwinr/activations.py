@@ -4,7 +4,8 @@ The centerpiece is the second-order B-spline wavelet ``psi``: a fixed
 linear combination of seven shifted ReLUs, compactly supported on (0, 3).
 Networks built on it therefore remain exactly representable as constrained
 ReLU networks (seven ReLU neurons per wavelet neuron), which is what
-``expand_to_relus`` materializes.
+``expand_to_relus`` materializes. ``psi``, ``psi_prime`` and the BW-ReLU
+layers all run one segment-table kernel, so they agree bitwise.
 
 Baselines: plain ReLU, sine, real Gaussian, plus identity for output
 layers and Fourier positional encoding for the ReLU+PE baseline.
@@ -63,7 +64,7 @@ class CodedDerivative:
         return self.codes.nbytes
 
     def __array__(self, dtype=None, copy=None):
-        dense = np.take(self.table, self.codes)
+        dense = np.asarray(np.take(self.table, self.codes))  # 0-d codes: a scalar
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -142,32 +143,28 @@ class Activation:
             )
 
 
-def psi(x):
-    """Second-order B-spline wavelet: sum of the seven weighted ReLU atoms.
+def _unit_wavelet(x):
+    """psi(x) and its coded derivative by the layer kernel at c = 1.
 
-    Exactly zero outside (0, 3); the explicit support mask removes the
-    ~1e-16 float residue the atom sum would otherwise leave on the tails.
+    Clamped to [-1, 4], where both vanish, with NaN sent to -1 by ``fmax``:
+    no infinite, huge or NaN input reaches the kernel's integer segment index.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    for coeff, shift in zip(WAVELET_COEFFS, WAVELET_SHIFTS):
-        out += coeff * np.maximum(x - shift, 0.0)
-    out[(x <= 0.0) | (x >= 3.0)] = 0.0
-    return float(out[0]) if scalar else out
+    z = np.array(x, dtype=float)
+    np.fmin(np.fmax(z, -1.0, out=z), 4.0, out=z)
+    vals = np.empty_like(z)
+    return vals, _wavelet_scaled(z, 1.0, vals)
+
+
+def psi(x):
+    """Second-order B-spline wavelet, exactly zero outside (0, 3); NaN stays NaN."""
+    vals = np.where(np.isnan(x), np.nan, _unit_wavelet(x)[0])
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def psi_prime(x):
     """Piecewise-constant derivative of ``psi`` (right-derivative at kinks)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros_like(x)
-    for coeff, shift in zip(WAVELET_COEFFS, WAVELET_SHIFTS):
-        out += coeff * (x >= shift)
-    out[(x < 0.0) | (x >= 3.0)] = 0.0
-    return float(out[0]) if scalar else out
+    slopes = np.asarray(_unit_wavelet(x)[1])
+    return float(slopes) if slopes.ndim == 0 else slopes
 
 
 def apply(activation, z, out=None):

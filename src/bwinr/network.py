@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation, apply, times_derivative
+from .activations import WAVELET_SHIFTS, Activation, apply, times_derivative
 from .errors import ConfigurationError, InvalidInputError, ShapeError
 
 CHECKPOINT_MAGIC = "BWINR1"
 
-# Activation-argument value at the center of the wavelet bump, used to
-# anchor wavelet supports inside the data domain at initialization.
-_WAVELET_CENTER = 1.5
+# Activation-argument value at the center of the wavelet bump (1.5), used
+# to anchor wavelet supports inside the data domain at initialization.
+_WAVELET_CENTER = WAVELET_SHIFTS[-1] / 2
 
 # Second entropy word of the initialization stream (ASCII "init"). Mixing
 # it into ``SeedSequence([seed, _INIT_TAG])`` keeps the init draws off the

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ConfigurationError(
                 f"width/depth must be >= 1, got {self.width}/{self.depth}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.pe_levels is not None and self.pe_levels < 1:
             raise ConfigurationError(f"pe_levels must be >= 1, got {self.pe_levels}")
         if self.log_every is not None and self.log_every < 1:

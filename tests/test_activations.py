@@ -23,6 +23,16 @@ def atoms_sum(x):
     return np.maximum(x[..., None] - WAVELET_SHIFTS, 0.0) @ WAVELET_COEFFS
 
 
+def atoms_slope(x):
+    # Reference derivative: the atoms' step slopes summed in atom order,
+    # zero outside [0, 3), so the right-derivative at every kink.
+    x = np.asarray(x, dtype=float)
+    slope = np.zeros_like(x)
+    for coeff, shift in zip(WAVELET_COEFFS, WAVELET_SHIFTS):
+        slope = slope + coeff * (x >= shift)
+    return np.where((x >= 0.0) & (x < 3.0), slope, 0.0)
+
+
 class TestPsi:
     def test_inactive_left(self):
         assert psi(-1.0) == 0.0
@@ -88,6 +98,10 @@ class TestPsiPrime:
         rel = np.abs(d - fd) / np.maximum(np.abs(d), 1e-8)
         assert rel.max() <= 1e-7
 
+    def test_equals_atom_slope_sum_on_kinks(self):
+        z = kink_inputs(1.0)
+        assert np.array_equal(psi_prime(z), atoms_slope(z))
+
 
 class TestApply:
     def test_relu(self):
@@ -117,8 +131,8 @@ class TestApply:
         c = 3.0
         z = np.linspace(-1, 2, 401)
         vals, derivs = apply(Activation("bwrelu", c), z)
-        assert np.allclose(vals, psi(c * z))
-        assert np.allclose(derivs, c * psi_prime(c * z))
+        assert np.allclose(vals, atoms_sum(c * z))
+        assert np.array_equal(np.asarray(derivs), c * atoms_slope(c * z))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -186,13 +200,13 @@ class TestApplyInPlace:
         apply(act, z)
         assert np.array_equal(z, before)
 
-    @pytest.mark.parametrize("c", [2.0, 3.0])
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
     def test_bwrelu_codes_equal_dense_derivative(self, c):
         z = kink_inputs(c)
         _, derivs = apply(Activation("bwrelu", c), z)
         assert derivs.codes.dtype == np.int8
         assert derivs.nbytes == z.size
-        assert np.array_equal(np.asarray(derivs), c * psi_prime(c * z))
+        assert np.array_equal(np.asarray(derivs), c * atoms_slope(c * z))
 
     def test_relu_codes_equal_dense_derivative(self):
         z = kink_inputs(1.0)
@@ -218,6 +232,37 @@ class TestApplyInPlace:
         assert derivs.codes.flags.f_contiguous
         with pytest.raises(ShapeError):
             times_derivative(np.zeros((4, 3)), derivs)
+
+
+class TestOneEvaluationPath:
+    def test_psi_is_the_layer_kernel_at_scale_one(self):
+        z = kink_inputs(1.0)
+        vals, _ = apply(Activation("bwrelu", 1.0), z)
+        assert np.array_equal(psi(z), vals)
+
+    def test_infinities_give_zero(self):
+        for x in (np.inf, -np.inf):
+            assert psi(x) == 0.0 and psi_prime(x) == 0.0
+        assert np.array_equal(psi(np.array([np.inf, -np.inf])), [0.0, 0.0])
+
+    def test_nan_gives_nan_value_and_zero_slope(self):
+        # NaN never reaches the kernel's integer cast, which would warn
+        # (an error under the test settings) and pick a platform's segment.
+        assert np.isnan(psi(np.nan)) and psi_prime(np.nan) == 0.0
+        x = np.array([np.nan, 1.25])
+        assert np.array_equal(psi(x), [np.nan, psi(1.25)], equal_nan=True)
+        assert np.array_equal(psi_prime(x), [0.0, atoms_slope(1.25)])
+
+    def test_scalar_in_float_out(self):
+        assert type(psi(1.5)) is float and type(psi_prime(1.5)) is float
+
+    @pytest.mark.parametrize("act", [Activation("relu"), Activation("bwrelu", 3.0)],
+                             ids=lambda a: a.kind)
+    def test_coded_derivative_of_a_scalar_is_dense(self, act):
+        _, derivs = apply(act, 0.5)
+        dense = np.asarray(derivs)
+        assert dense.shape == ()
+        assert dense == np.take(derivs.table, derivs.codes)
 
 
 class TestExpandToRelus:

@@ -49,6 +49,22 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    src = Path(bwinr.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    entry = [sys.executable, "-m", "bwinr.cli", "conditioning"]
+    ok = subprocess.run(
+        [*entry, "--j-max", "1", "--k-list", "8", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env,
+    )
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "o" / "dyadic_gram.csv").exists()
+    bad = subprocess.run([*entry, "--no-such-flag"], capture_output=True,
+                         text=True, env=env)
+    assert bad.returncode == 1
+    assert "configuration error" in bad.stderr
+
+
 class TestAssets:
     def test_shepp_logan_range(self):
         img = shepp_logan(64)
@@ -303,11 +319,16 @@ class TestExitCodes:
         ["vnorm-sweep", "--c-list", "1,inf"],
         ["fit", "--width", "0"],
         ["fit", "--layers", "0"],
+        ["fit", "--seed", "-1"],
+        ["ct", "--seed", "-1"],
+        ["superres", "--seed", "-1"],
+        ["vnorm-sweep", "--seed", "-1"],
     ], ids=["relu-c", "relu-pe-c", "bwrelu-pe-levels", "pe-levels0", "log-every0",
             "ct-lr", "sweep-act", "sweep-c-not-c-list", "sweep-pe-levels",
             "sweep-track-cond", "sweep-sigrep-angles", "sweep-ct-factor",
             "lr-inf", "wd-nan", "wd-inf", "c-inf", "sine-c-inf", "gauss-c-inf",
-            "sweep-c-list-inf", "width0", "layers0"])
+            "sweep-c-list-inf", "width0", "layers0", "fit-seed-negative",
+            "ct-seed-negative", "superres-seed-negative", "sweep-seed-negative"])
     def test_ignored_or_invalid_flag_builds_no_task(
         self, tmp_path, capsys, monkeypatch, command
     ):
