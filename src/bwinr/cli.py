@@ -31,17 +31,19 @@ from .diagnostics import (
     check_dyadic_levels,
     check_relu_gram_size,
     dyadic_system,
+    variation_norm_deep,
 )
 from .errors import (
     BwinrError,
     ConfigurationError,
+    DivergenceError,
     ImageIOError,
     NumericalError,
 )
 from .images import load_image, save_image
 from .network import save_checkpoint
 from .operators import ImageGrid, make_task
-from .training import TrainConfig, format_row, parse_field, train
+from .training import TrainConfig, format_table, parse_table, train
 
 # Per-(task, activation) training defaults: learning rate, scale, decay,
 # epochs, width, depth. Plain relu has no published setting and borrows
@@ -151,44 +153,41 @@ def _output_dir(path):
     return out
 
 
-def write_table(path, header, rows):
-    """Write a CSV with deterministic float formatting."""
-    lines = [",".join(header)] + [format_row(row) for row in rows]
+def _write_text(path, text):
     with _writing(path):
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+        Path(path).write_bytes(text.encode("ascii"))
+
+
+def write_table(path, header, rows):
+    """Write a CSV by ``training.format_table``."""
+    _write_text(path, format_table(header, rows))
 
 
 def read_table(path):
-    """Parse a CSV written by ``write_table`` into (header, rows of floats)."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        row = []
-        for cell in ln.split(","):
-            try:
-                row.append(parse_field(cell))
-            except ValueError:
-                row.append(cell)
-        rows.append(row)
-    return header, rows
+    """Parse a CSV by ``training.parse_table`` into (header, rows)."""
+    return parse_table(Path(path).read_text(encoding="ascii"))
 
 
 def cmd_train(args):
-    """fit, ct and superres: train one net on ``args.task`` and write its outputs."""
+    """fit, ct and superres: train one net on ``args.task`` and write its
+    outputs; a diverged run writes only its partial ``log.csv``."""
     cfg, task = _config_and_task(args)
-    params, log = train(cfg, task)
-
     out = _output_dir(args.out)
+    try:
+        params, log = train(cfg, task)
+    except DivergenceError as exc:
+        _write_text(out / "log.csv", exc.log.to_csv())
+        raise
+
     save_image(ImageGrid(log.final_render), out / "recon.pgm")  # clamps to [0, 1]
-    with _writing(out / "log.csv"):
-        (out / "log.csv").write_text(log.to_csv(), encoding="ascii")
+    _write_text(out / "log.csv", log.to_csv())
     with _writing(out / "checkpoint.txt"):
         save_checkpoint(params, out / "checkpoint.txt")
     final = log.entries[-1]
-    if final.vnorm_layers is not None:
-        rows = [(f"{i + 1}", v) for i, v in enumerate(final.vnorm_layers)]
-        rows.append(("total", final.vnorm_total))
+    if final.vnorm_total is not None:
+        report = variation_norm_deep(params)
+        rows = [(f"{i + 1}", v) for i, v in enumerate(report.layers)]
+        rows.append(("total", report.total))
         write_table(out / "vnorm.csv", ["layer", "vnorm"], rows)
 
     if args.task == "ct":
@@ -296,8 +295,8 @@ def cmd_vnorm_sweep(args):
     for c in args.c_list:
         Activation("bwrelu", c)  # rejects a non-positive scale before training
     cfg, task = _config_and_task(args)
-    rows = run_vnorm_sweep(task, cfg, args.c_list, args.target_loss)
     out = _output_dir(args.out)
+    rows = run_vnorm_sweep(task, cfg, args.c_list, args.target_loss)
     write_table(
         out / "sweep.csv",
         ["c", "seed", "epochs", "loss", "psnr", "vnorm_total"],

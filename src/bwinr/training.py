@@ -7,12 +7,12 @@ and network. Weight decay enters as an extra 2*lambda*w gradient on
 weight matrices only; biases are never regularized.
 
 The learning rate follows eta(t) = eta0 * r^(t/T). Runs are bit-for-bit
-reproducible from the seed, and the log serializes to a fixed CSV schema
-(``epoch,loss,psnr,lr,vnorm_total,feat_cond``).
+reproducible from the seed. The log's CSV has one column per ``LogEntry``
+field; ``format_table``/``parse_table`` are the package's one CSV codec.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .errors import (
 from .network import NetworkParams, backward, forward, init_network, mlp_specs
 
 DIVERGENCE_THRESHOLD = 1e12
-
-LOG_CSV_HEADER = "epoch,loss,psnr,lr,vnorm_total,feat_cond"
 
 
 @dataclass(frozen=True)
@@ -143,40 +141,50 @@ class LogEntry:
     psnr: float | None
     lr: float
     vnorm_total: float | None = None
-    vnorm_layers: tuple | None = None
     feat_cond: float | None = None
 
 
-def format_field(value):
-    """CSV cell for an optional float: '' for None, 'inf', else repr."""
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return repr(float(value))
+LOG_COLUMNS = tuple(f.name for f in fields(LogEntry))
 
 
-def format_row(values):
-    """One CSV line: bools and ints as integers, floats and None by
-    ``format_field``, anything else by ``str``."""
-    cells = []
-    for v in values:
-        if isinstance(v, (bool, int, np.integer)):
-            cells.append(str(int(v)))
-        elif v is None or isinstance(v, float):
-            cells.append(format_field(v))
-        else:
-            cells.append(str(v))
-    return ",".join(cells)
+def format_table(header, rows):
+    """CSV text, one line per row: floats by ``repr`` (so ``-inf`` and
+    ``nan`` survive), None as an empty cell, bools and ints as integers,
+    anything else by ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, float):
+                cells.append(repr(float(v)))
+            elif v is None:
+                cells.append("")
+            elif isinstance(v, (bool, int, np.integer)):
+                cells.append(str(int(v)))
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
-def parse_field(text):
-    """Inverse of ``format_field``; raises ValueError on other text."""
-    if text == "":
-        return None
-    if text == "inf":
-        return math.inf
-    return float(text)
+def parse_table(text):
+    """Inverse of ``format_table``: (header, rows). An empty cell reads as
+    None, a number as a float, any other cell as its text. An empty text,
+    or a row whose cell count is not the header's, raises ShapeError."""
+    lines = text.splitlines()
+    if not lines:
+        raise ShapeError("empty CSV text")
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for n, cells in enumerate(rows, start=2):
+        if len(cells) != len(header):
+            raise ShapeError(f"CSV line {n}: {len(cells)} cells, header has {len(header)}")
+        for i, cell in enumerate(cells):
+            try:
+                cells[i] = float(cell) if cell else None
+            except ValueError:
+                pass
+    return header, rows
 
 
 @dataclass
@@ -187,29 +195,19 @@ class TrainLog:
     final_render: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_csv(self):
-        lines = [LOG_CSV_HEADER] + [
-            format_row((e.epoch, e.loss, e.psnr, e.lr, e.vnorm_total, e.feat_cond))
-            for e in self.entries
-        ]
-        return "\n".join(lines) + "\n"
+        return format_table(LOG_COLUMNS, [astuple(e) for e in self.entries])
 
     @classmethod
     def from_csv(cls, text):
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != LOG_CSV_HEADER:
+        header, rows = parse_table(text)
+        if tuple(header) != LOG_COLUMNS:
             raise ShapeError("unrecognized training-log CSV header")
-        log = cls()
-        for ln in lines[1:]:
-            epoch, loss, snr, lr, vnorm, cond = ln.split(",")
-            log.entries.append(LogEntry(
-                epoch=int(epoch),
-                loss=parse_field(loss),
-                psnr=parse_field(snr),
-                lr=parse_field(lr),
-                vnorm_total=parse_field(vnorm),
-                feat_cond=parse_field(cond),
-            ))
-        return log
+        for row in rows:
+            if not (isinstance(row[0], float) and row[0].is_integer()) or any(
+                isinstance(v, str) for v in row
+            ):
+                raise ShapeError(f"malformed training-log row {row}")
+        return cls([LogEntry(int(row[0]), *row[1:]) for row in rows])
 
 
 def prepare_inputs(cfg, task):
@@ -241,10 +239,8 @@ def _diagnostics_entry(cfg, task, params, trace, epoch, loss, lr, rendered):
     if task.reference is not None:
         snr = psnr(task.reference, rendered)
     vnorm_total = None
-    vnorm_layers = None
     try:
-        report = variation_norm_deep(params)
-        vnorm_total, vnorm_layers = report.total, report.layers
+        vnorm_total = variation_norm_deep(params).total
     except UnsupportedActivationError:
         pass
     feat = None
@@ -252,7 +248,7 @@ def _diagnostics_entry(cfg, task, params, trace, epoch, loss, lr, rendered):
         feat = feature_gram_condition(trace, len(params.specs) - 2).value
     return LogEntry(
         epoch=epoch, loss=loss, psnr=snr, lr=lr,
-        vnorm_total=vnorm_total, vnorm_layers=vnorm_layers, feat_cond=feat,
+        vnorm_total=vnorm_total, feat_cond=feat,
     )
 
 

@@ -26,7 +26,7 @@ from bwinr.cli import (
     read_table,
 )
 from bwinr.network import load_checkpoint
-from bwinr.training import TrainLog
+from bwinr.training import TrainLog, train
 
 
 def run(args):
@@ -35,6 +35,10 @@ def run(args):
 
 def _built_too_early(*args, **kwargs):
     raise AssertionError("an image or task was built before the flags were checked")
+
+
+def _trained_too_early(*args, **kwargs):
+    raise AssertionError("training started before the output directory was made")
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
@@ -117,6 +121,27 @@ class TestFit:
                 (tmp_path / "b" / name).read_bytes()
         assert (tmp_path / "a" / "recon.pgm").read_bytes() == \
             (tmp_path / "b" / "recon.pgm").read_bytes()
+
+    def test_log_round_trips_and_vnorm_total_is_the_logs(self, tmp_path, monkeypatch):
+        runs = []
+
+        def recording(cfg, task):
+            runs.append(train(cfg, task))
+            return runs[-1]
+
+        monkeypatch.setattr(bwinr.cli, "train", recording)
+        out = tmp_path / "run"
+        code = run([
+            "fit", "--image", "scene:12", "--epochs", "6", "--width", "8",
+            "--layers", "2", "--log-every", "2", "--track-cond", "--out", str(out),
+        ])
+        assert code == 0
+        [(_, log)] = runs
+        assert TrainLog.from_csv(log.to_csv()) == log
+        assert TrainLog.from_csv((out / "log.csv").read_text()) == log
+        header, rows = read_table(out / "vnorm.csv")
+        assert [row[0] for row in rows] == [1.0, 2.0, "total"]
+        assert rows[-1][1] == log.entries[-1].vnorm_total
 
     def test_relu_pe_smoke(self, tmp_path):
         code = run([
@@ -397,8 +422,12 @@ class TestExitCodes:
         ["conditioning", "--j-max", "2", "--k-list", "8"],
         ["fit", "--image", "scene:8", "--epochs", "1", "--width", "4",
          "--layers", "1"],
-    ], ids=["conditioning", "fit"])
-    def test_out_under_a_file_is_io_error(self, tmp_path, capsys, command):
+        ["ct", "--image", "shepp-logan:8", "--angles", "4", "--epochs", "40"],
+        ["vnorm-sweep", "--task", "ct", "--image", "shepp-logan:8", "--angles", "4",
+         "--epochs", "40", "--c-list", "1,3", "--target-loss", "1e-4"],
+    ], ids=["conditioning", "fit", "ct", "vnorm-sweep"])
+    def test_out_under_a_file_is_io_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(bwinr.cli, "train", _trained_too_early)
         blocker = tmp_path / "file"
         blocker.write_text("")
         code = run(command + ["--out", str(blocker / "sub")])
@@ -417,9 +446,13 @@ class TestExitCodes:
         assert f"cannot write {out / name}:" in capsys.readouterr().err
 
     def test_divergence_is_numerical_failure(self, tmp_path):
+        out = tmp_path / "o"
         code = run([
             "fit", "--image", "scene:12", "--act", "relu",
             "--lr", "1e6", "--epochs", "50", "--width", "8",
-            "--layers", "2", "--out", str(tmp_path / "o"),
+            "--layers", "2", "--out", str(out),
         ])
         assert code == 3
+        assert [p.name for p in out.iterdir()] == ["log.csv"]
+        log = TrainLog.from_csv((out / "log.csv").read_text())
+        assert log.entries and log.entries[-1].epoch < 50

@@ -26,7 +26,8 @@ from bwinr import (
     train,
     univariate_benchmark,
 )
-from bwinr.training import ADAM_BETA2, ADAM_EPS, LOG_CSV_HEADER, LogEntry, prepare_inputs
+from bwinr.diagnostics import variation_norm_deep
+from bwinr.training import ADAM_BETA2, ADAM_EPS, LOG_COLUMNS, LogEntry, prepare_inputs
 
 
 def small_cfg(**kw):
@@ -217,11 +218,11 @@ class TestTrainLoop:
         img = ImageGrid(rng.uniform(0, 1, (8, 8)))
         task = make_task("sigrep", img)
         cfg = small_cfg(epochs=5, width=8, depth=2, log_every=1)
-        _, log = train(cfg, task)
+        params, log = train(cfg, task)
         final = log.entries[-1]
         assert final.psnr is not None
         assert final.vnorm_total is not None
-        assert len(final.vnorm_layers) == 2
+        assert len(variation_norm_deep(params).layers) == 2
 
     def test_feature_condition_tracking(self):
         task = quadratic_task(64)
@@ -309,7 +310,8 @@ class TestOneForwardPerState:
 
 class TestTrainLogCsv:
     def test_header(self):
-        assert TrainLog().to_csv().startswith(LOG_CSV_HEADER)
+        assert LOG_COLUMNS == ("epoch", "loss", "psnr", "lr", "vnorm_total", "feat_cond")
+        assert TrainLog().to_csv() == ",".join(LOG_COLUMNS) + "\n"
 
     def test_roundtrip(self):
         log = TrainLog(entries=[
