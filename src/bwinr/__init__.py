@@ -54,11 +54,9 @@ from .network import (
     NetworkParams,
     backward,
     forward,
-    grad_check,
     init_network,
     load_checkpoint,
     mlp_specs,
-    mse_and_gradients,
     save_checkpoint,
 )
 from .operators import (
@@ -76,6 +74,7 @@ from .training import (
     TrainConfig,
     TrainLog,
     adam_step,
+    grad_check,
     init_adam_state,
     lr_at,
     train,

@@ -103,16 +103,18 @@ def _wavelet_scaled(z, c, out):
     """
     codes = np.empty_like(z, dtype=np.int8)
     flat_z, flat_out, flat_codes = (v.ravel(order="K") for v in (z, out, codes))
-    for lo in range(0, flat_z.size, _BLOCK):
-        hi = lo + _BLOCK
-        u = c * flat_z[lo:hi]
-        seg = np.floor(2.0 * u).astype(np.intp)
-        np.clip(seg, -1, 6, out=seg)
-        seg += 1
-        val = flat_out[lo:hi]
-        np.multiply(_SEG_SLOPE[seg], u, out=val)
-        val += _SEG_INTERCEPT[seg]
-        flat_codes[lo:hi] = seg
+    # NaN, inf or huge u cast to an undefined index, which the clip sends to a tail.
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, flat_z.size, _BLOCK):
+            hi = lo + _BLOCK
+            u = c * flat_z[lo:hi]
+            seg = np.floor(2.0 * u).astype(np.intp)
+            np.clip(seg, -1, 6, out=seg)
+            seg += 1
+            val = flat_out[lo:hi]
+            np.multiply(_SEG_SLOPE[seg], u, out=val)
+            val += _SEG_INTERCEPT[seg]
+            flat_codes[lo:hi] = seg
     return CodedDerivative(codes, c * _SEG_SLOPE)
 
 

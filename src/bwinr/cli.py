@@ -39,6 +39,7 @@ from .errors import (
     DivergenceError,
     ImageIOError,
     NumericalError,
+    ShapeError,
 )
 from .images import load_image, save_image
 from .network import save_checkpoint
@@ -164,8 +165,12 @@ def write_table(path, header, rows):
 
 
 def read_table(path):
-    """Parse a CSV by ``training.parse_table`` into (header, rows)."""
-    return parse_table(Path(path).read_text(encoding="ascii"))
+    """Parse an ASCII CSV by ``training.parse_table`` into (header, rows)."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ShapeError(f"{path}: not ASCII text ({exc})") from exc
+    return parse_table(text)
 
 
 def cmd_train(args):

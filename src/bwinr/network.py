@@ -3,8 +3,8 @@
 The model is a fixed-topology fully connected network: every hidden layer
 applies one activation kind (with its scale) and the output layer is
 linear. Forward passes record the per-layer tensors needed for an exact
-backward pass; gradients are validated against finite differences in the
-test suite (``grad_check``).
+backward pass; ``training.grad_check`` validates the gradients against
+finite differences of the training loss.
 
 Checkpoints use a versioned plain-text format (header ``BWINR1``) that
 round-trips float64 values exactly; see ``save_checkpoint``.
@@ -220,55 +220,6 @@ def backward(params, trace, dY):
             delta = product(delta, w, out=a_in)
             delta = times_derivative(delta, trace.deriv[l - 1])
     return Gradients(weights=d_weights, biases=d_biases)
-
-
-def mse_and_gradients(params, X, targets):
-    """Mean-squared-error loss and its exact parameter gradients."""
-    targets = np.asarray(targets, dtype=float)
-    Y, trace = forward(params, X)
-    if Y.shape != targets.shape:
-        raise ShapeError(f"output shape {Y.shape} != target shape {targets.shape}")
-    resid = Y - targets
-    loss = float(np.mean(resid * resid))
-    grads = backward(params, trace, (2.0 / resid.size) * resid)
-    return loss, grads
-
-
-def grad_check(params, X, targets, h=1e-5):
-    """Max relative error of analytic MSE gradients vs central differences.
-
-    Intended for small networks (a few hundred parameters); each parameter
-    costs two forward passes.
-    """
-    X = np.asarray(X, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    _, grads = mse_and_gradients(params, X, targets)
-
-    def loss_at(p):
-        Y, _ = forward(p, X)
-        r = Y - targets
-        return float(np.mean(r * r))
-
-    worst = 0.0
-    probe = params.copy()
-    for arrays, g_arrays in (
-        (probe.weights, grads.weights),
-        (probe.biases, grads.biases),
-    ):
-        for arr, g in zip(arrays, g_arrays):
-            flat = arr.reshape(-1)
-            g_flat = g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_at(probe)
-                flat[i] = orig - h
-                down = loss_at(probe)
-                flat[i] = orig
-                fd = (up - down) / (2.0 * h)
-                err = abs(g_flat[i] - fd) / max(abs(g_flat[i]), 1e-8)
-                worst = max(worst, err)
-    return worst
 
 
 def _format_scale(activation):

@@ -257,15 +257,16 @@ def make_task(name, image, factor=4, n_angles=100):
 
 
 def make_signal_task(x, y):
-    """1-D regression task (used by the univariate conditioning benchmark)."""
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError("x and y lengths differ")
+    """Fit ``y`` ((n,) or (n, outputs)) at the rows of ``x`` ((n,) or (n, d),
+    reshaped to (n, -1)), with no operator."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0 or x.shape[:1] != y.shape[:1]:
+        raise ShapeError(f"x rows {x.shape[:1]} != y rows {y.shape[:1]}")
     return ForwardTask(
-        coords=x,
+        coords=x.reshape(len(y), -1),
         target=y,
-        operator=_IdentityOp((y.size,)),
-        render_shape=(y.size,),
+        operator=_IdentityOp(y.shape),
+        render_shape=y.shape,
         reference=None,
     )

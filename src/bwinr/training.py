@@ -3,8 +3,10 @@
 One full-batch step per epoch: render the network over the task's
 coordinate grid, push the rendering through the task's linear operator,
 take the MSE against the measurements, and backpropagate through operator
-and network. Weight decay enters as an extra 2*lambda*w gradient on
-weight matrices only; biases are never regularized.
+and network. That loss and its gradient exist once (``_objective``,
+``_gradients``); ``grad_check`` compares them with central differences.
+Weight decay enters as an extra 2*lambda*w gradient on weight matrices
+only; biases are never regularized.
 
 The learning rate follows eta(t) = eta0 * r^(t/T). Runs are bit-for-bit
 reproducible from the seed. The log's CSV has one column per ``LogEntry``
@@ -203,9 +205,10 @@ class TrainLog:
         if tuple(header) != LOG_COLUMNS:
             raise ShapeError("unrecognized training-log CSV header")
         for row in rows:
-            if not (isinstance(row[0], float) and row[0].is_integer()) or any(
+            epoch, loss, _, lr = row[:4]  # epoch, loss and lr are required
+            if not (isinstance(epoch, float) and epoch.is_integer()) or any(
                 isinstance(v, str) for v in row
-            ):
+            ) or loss is None or lr is None:
                 raise ShapeError(f"malformed training-log row {row}")
         return cls([LogEntry(int(row[0]), *row[1:]) for row in rows])
 
@@ -225,13 +228,45 @@ def build_network(cfg, task):
     return init_network(mlp_specs(sizes, cfg.activation), cfg.seed), X
 
 
-def _loss_and_rendered(params, X, task):
+def _objective(params, X, task):
+    """The one loss, mean((A f(X) - target)^2) with A = ``task.operator``:
+    (loss, resid, rendered, trace). A measurement shape other than the
+    target's is a ShapeError, not a broadcast."""
     Y, trace = forward(params, X)
     rendered = Y.reshape(task.render_shape)
     out = task.operator.apply(rendered)
+    if out.shape != task.target.shape:
+        raise ShapeError(f"measurements {out.shape} != target {task.target.shape}")
     resid = out - task.target
     loss = float(np.mean(resid * resid))
     return loss, resid, rendered, trace
+
+
+def _gradients(params, trace, task, resid):
+    """Exact gradients of ``_objective``: backprop of A^T (2/m) resid, m = resid.size."""
+    d_rendered = task.operator.vjp((2.0 / resid.size) * resid)
+    return backward(params, trace, d_rendered.reshape(trace.post[-1].shape))
+
+
+def grad_check(params, X, task, h=1e-5):
+    """Max relative error of ``_gradients`` against central differences of
+    ``_objective``; each parameter costs two forwards, so keep nets small."""
+    _, resid, _, trace = _objective(params, X, task)
+    grads = _gradients(params, trace, task, resid)
+    worst = 0.0
+    probe = params.copy()
+    for arr, g in zip(probe.weights + probe.biases, grads.weights + grads.biases):
+        flat, g_flat = arr.reshape(-1), g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = _objective(probe, X, task)[0]
+            flat[i] = orig - h
+            down = _objective(probe, X, task)[0]
+            flat[i] = orig
+            fd = (up - down) / (2.0 * h)
+            worst = max(worst, abs(g_flat[i] - fd) / max(abs(g_flat[i]), 1e-8))
+    return worst
 
 
 def _diagnostics_entry(cfg, task, params, trace, epoch, loss, lr, rendered):
@@ -267,7 +302,7 @@ def train(cfg, task):
     log = TrainLog()
     period = cfg.diagnostic_period
     for t in range(cfg.epochs + 1):
-        loss, resid, rendered, trace = _loss_and_rendered(params, X, task)
+        loss, resid, rendered, trace = _objective(params, X, task)
         if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
             raise DivergenceError(
                 f"loss diverged at epoch {t}: {loss:.3e}", log=log
@@ -283,7 +318,6 @@ def train(cfg, task):
         if final:
             log.final_render = rendered
             return params, log
-        d_rendered = task.operator.vjp((2.0 / resid.size) * resid)
-        grads = backward(params, trace, d_rendered.reshape(-1, 1))
+        grads = _gradients(params, trace, task, resid)
         del trace  # free it before the next forward allocates another
         params, state = adam_step(params, grads, state, lr, cfg.weight_decay)

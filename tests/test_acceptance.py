@@ -135,7 +135,7 @@ def test_criterion_5_gradient_correctness():
         ("gaussian", Activation("gaussian", 2.0)),
     ]:
         params = init_network(mlp_specs([2, 8, 1], act), 0)
-        errs[label] = grad_check(params, X, T, h=1e-5)
+        errs[label] = grad_check(params, X, make_signal_task(X, T), h=1e-5)
     elapsed = time.perf_counter() - t0
     ok = all(e <= 1e-5 for e in errs.values()) and elapsed < 5.0
     detail = ", ".join(f"{k} {v:.1e}" for k, v in errs.items())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -112,6 +114,17 @@ class TestApply:
     def test_bwrelu_scale_one(self):
         vals, _ = apply(Activation("bwrelu", 1.0), np.array([1.5]))
         assert vals[0] == pytest.approx(5 / 6)
+
+    def test_bwrelu_non_finite_and_huge_inputs_do_not_warn(self):
+        # The segment index's float->int cast sees NaN, inf and 1.5e300.
+        z = np.array([np.nan, np.inf, -np.inf, 1e300, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, derivs = apply(Activation("bwrelu", 3.0), z)
+        assert np.isnan(vals[:3]).all()
+        assert vals[3] == 0.0
+        assert vals[4] == psi(1.5)
+        assert np.asarray(derivs)[4] == 3.0 * psi_prime(1.5)
 
     def test_sine_chain_factor(self):
         vals, derivs = apply(Activation("sine", 2.0), np.array([0.0]))

@@ -135,6 +135,20 @@ def test_non_integer_epoch_is_shape_error(epoch):
         TrainLog.from_csv(text.replace("\n0,", f"\n{epoch},"))
 
 
+@pytest.mark.parametrize("row", ["0,,,0.1,,", "0,1.0,,,,", "0,,,,,"])
+def test_empty_required_cell_is_shape_error(row):
+    text = f"epoch,loss,psnr,lr,vnorm_total,feat_cond\n{row}\n"
+    with pytest.raises(ShapeError):
+        TrainLog.from_csv(text)
+
+
+def test_non_ascii_file_is_shape_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n\xe9,1\n")
+    with pytest.raises(ShapeError, match="latin1.csv"):
+        read_table(path)
+
+
 def test_text_in_a_number_column_is_shape_error():
     text = "epoch,loss,psnr,lr,vnorm_total,feat_cond\n0,low,,0.1,,\n"
     with pytest.raises(ShapeError):

@@ -17,8 +17,8 @@ from bwinr import (
     grad_check,
     init_network,
     load_checkpoint,
+    make_signal_task,
     mlp_specs,
-    mse_and_gradients,
     save_checkpoint,
 )
 from bwinr.activations import WAVELET_COEFFS, WAVELET_SHIFTS, positional_encoding
@@ -352,7 +352,7 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         X = rng.uniform(-1, 1, (20, 2))
         T = rng.standard_normal((20, 1))
-        assert grad_check(p, X, T) <= 1e-5
+        assert grad_check(p, X, make_signal_task(X, T)) <= 1e-5
 
     def test_bwrelu_three_outputs(self):
         # The output layer's cotangent runs through the GEMM branch.
@@ -360,21 +360,21 @@ class TestGradCheck:
         rng = np.random.default_rng(1)
         X = rng.uniform(-1, 1, (20, 2))
         T = rng.standard_normal((20, 3))
-        assert grad_check(p, X, T) <= 1e-5
+        assert grad_check(p, X, make_signal_task(X, T)) <= 1e-5
 
     def test_sine(self):
         p = init_network(mlp_specs([2, 8, 1], Activation("sine", 2.0)), 0)
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, (20, 2))
         T = rng.standard_normal((20, 1))
-        assert grad_check(p, X, T) <= 1e-6
+        assert grad_check(p, X, make_signal_task(X, T)) <= 1e-6
 
     def test_gaussian(self):
         p = init_network(mlp_specs([2, 8, 1], Activation("gaussian", 2.0)), 0)
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, (20, 2))
         T = rng.standard_normal((20, 1))
-        assert grad_check(p, X, T) <= 1e-5
+        assert grad_check(p, X, make_signal_task(X, T)) <= 1e-5
 
     def test_relu_away_from_kinks(self):
         p = init_network(mlp_specs([2, 8, 1], Activation("relu")), 4)
@@ -383,7 +383,7 @@ class TestGradCheck:
         clear = np.all(np.abs(X @ p.weights[0].T + p.biases[0]) > 1e-3, axis=1)
         X = X[clear][:40]
         T = np.random.default_rng(6).standard_normal((X.shape[0], 1))
-        assert grad_check(p, X, T) <= 1e-5
+        assert grad_check(p, X, make_signal_task(X, T)) <= 1e-5
 
 
 class TestNetworkProperties:
@@ -430,18 +430,6 @@ class TestNetworkProperties:
                 np.sum(v**2) + np.sum((scale * w) ** 2) / scale**2
             )
             assert abs(obj1 - obj2) <= 1e-12 * max(abs(obj1), 1.0)
-
-    def test_mse_gradients_shape(self):
-        p = init_network(mlp_specs([2, 5, 1], BW3), 0)
-        X = np.zeros((4, 2))
-        loss, g = mse_and_gradients(p, X, np.zeros((4, 1)))
-        assert loss >= 0.0
-        assert [gw.shape for gw in g.weights] == [w.shape for w in p.weights]
-
-    def test_mse_misshaped_target_rejected(self):
-        p = init_network(mlp_specs([2, 5, 1], BW3), 0)
-        with pytest.raises(ShapeError):
-            mse_and_gradients(p, np.zeros((4, 2)), np.zeros(4))
 
 
 class TestCheckpoint:

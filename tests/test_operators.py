@@ -272,6 +272,10 @@ class TestMakeTask:
     def test_signal_task_lengths_must_match(self):
         with pytest.raises(ShapeError):
             make_signal_task(np.zeros(5), np.zeros(4))
+        with pytest.raises(ShapeError):
+            make_signal_task(np.zeros(8), np.zeros(4))
+        with pytest.raises(ShapeError):
+            make_signal_task(np.zeros((5, 2)), np.zeros((4, 3)))
 
     def test_unknown_task(self):
         with pytest.raises(ConfigurationError):
@@ -282,3 +286,10 @@ class TestMakeTask:
         task = make_signal_task(x, x**2)
         assert task.coords.shape == (11, 1)
         assert task.operator.apply(task.target).shape == (11,)
+
+    def test_signal_task_batches(self):
+        # (n, d) inputs and (n, k) targets keep their shapes.
+        task = make_signal_task(np.zeros((20, 2)), np.zeros((20, 3)))
+        assert task.coords.shape == (20, 2)
+        assert task.target.shape == task.render_shape == (20, 3)
+        assert task.operator.out_shape == (20, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import weakref
@@ -23,11 +24,22 @@ from bwinr import (
     make_signal_task,
     make_task,
     mlp_specs,
+    shepp_logan,
     train,
     univariate_benchmark,
 )
 from bwinr.diagnostics import variation_norm_deep
-from bwinr.training import ADAM_BETA2, ADAM_EPS, LOG_COLUMNS, LogEntry, prepare_inputs
+from bwinr.training import (
+    ADAM_BETA2,
+    ADAM_EPS,
+    LOG_COLUMNS,
+    LogEntry,
+    _gradients,
+    _objective,
+    build_network,
+    grad_check,
+    prepare_inputs,
+)
 
 
 def small_cfg(**kw):
@@ -306,6 +318,55 @@ class TestOneForwardPerState:
         assert log.final_render.shape == expected.shape
         assert log.final_render.tobytes() == expected.tobytes()
         assert TrainLog.from_csv(log.to_csv()).final_render is None
+
+
+class TestObjective:
+    def test_gradient_shapes(self):
+        p = init_network(mlp_specs([2, 5, 1], Activation("bwrelu", 3.0)), 0)
+        X = np.zeros((4, 2))
+        task = make_signal_task(X, np.zeros((4, 1)))
+        loss, resid, _, trace = _objective(p, X, task)
+        g = _gradients(p, trace, task, resid)
+        assert loss >= 0.0
+        assert [gw.shape for gw in g.weights] == [w.shape for w in p.weights]
+        assert [gb.shape for gb in g.biases] == [b.shape for b in p.biases]
+
+    def test_misshaped_target_rejected(self):
+        # (4, 4) measurements against a (4, 1) target would broadcast.
+        task = make_task("superres", shepp_logan(8), factor=2)
+        task = dataclasses.replace(task, target=task.target[:, :1])
+        cfg = small_cfg(width=5)
+        p, X = build_network(cfg, task)
+        with pytest.raises(ShapeError):
+            _objective(p, X, task)
+        with pytest.raises(ShapeError):
+            train(cfg, task)
+
+    @pytest.mark.parametrize("task_name, kw", [
+        ("ct", dict(n_angles=6)),
+        ("superres", dict(factor=2)),
+    ], ids=["ct", "superres"])
+    @pytest.mark.parametrize("act", [
+        Activation("bwrelu", 3.0),
+        Activation("sine", 2.0),
+        Activation("gaussian", 2.0),
+    ], ids=["bwrelu", "sine", "gaussian"])
+    def test_grad_check_through_the_operator(self, task_name, kw, act):
+        task = make_task(task_name, shepp_logan(8), **kw)
+        p = init_network(mlp_specs([2, 8, 1], act), 0)
+        assert grad_check(p, task.coords, task) <= 1e-5
+
+    def test_train_steps_along_the_checked_gradient(self):
+        task = make_task("superres", shepp_logan(8), factor=2)
+        cfg = small_cfg(width=8, epochs=1)
+        p0, X = build_network(cfg, task)
+        _, resid, _, trace = _objective(p0, X, task)
+        expected, _ = adam_step(p0, _gradients(p0, trace, task, resid),
+                                init_adam_state(p0), cfg.lr0)
+        params, _ = train(cfg, task)
+        for got, want in zip(params.weights + params.biases,
+                             expected.weights + expected.biases):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrainLogCsv:
