@@ -13,10 +13,10 @@ direction (-sin t, cos t), discretized by a uniform-step quadrature of one
 pixel spacing. The sampling pattern is assembled once into a sparse matrix,
 which makes the adjoint exact by construction.
 
-Every task operator is one object with the same protocol: ``apply`` maps a
-rendered image to the measurements, ``vjp`` maps a measurement-shaped
-cotangent back to the image (the exact adjoint of ``apply``), and
-``out_shape`` is the shape of the measurements.
+Every task operator is one object with the same protocol: ``apply`` maps
+an ``in_shape`` rendering to ``out_shape`` measurements, ``vjp`` maps an
+``out_shape`` cotangent back to ``in_shape`` (the exact adjoint of
+``apply``), and any other shape, flattened or transposed, is a ShapeError.
 """
 
 from dataclasses import dataclass
@@ -59,6 +59,14 @@ def grid_coords(h, w):
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def _checked(values, shape):
+    """``values`` as a float64 array, which must have exactly ``shape``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape:
+        raise ShapeError(f"operator expects shape {shape}, got {arr.shape}")
+    return arr
+
+
 class Downsample:
     """f x f block averaging of an h x w image, as a task operator."""
 
@@ -68,16 +76,17 @@ class Downsample:
         if h % f or w % f:
             raise ShapeError(f"{h}x{w} image not divisible by factor {f}")
         self.f = f
+        self.in_shape = (h, w)
         self.out_shape = (h // f, w // f)
 
     def apply(self, rendered):
         (h, w), f = self.out_shape, self.f
-        blocks = np.asarray(rendered, dtype=float).reshape(h, f, w, f)
+        blocks = _checked(rendered, self.in_shape).reshape(h, f, w, f)
         return blocks.mean(axis=(1, 3))
 
     def vjp(self, cotangent):
         """Spread each block mean's weight back out over its block."""
-        cot = np.asarray(cotangent, dtype=float)
+        cot = _checked(cotangent, self.out_shape)
         return np.kron(cot, np.full((self.f, self.f), 1.0 / (self.f * self.f)))
 
 
@@ -88,9 +97,9 @@ class RadonTransform:
     are ``n_angles`` equally spaced angles in [0, pi), and ``detectors``
     is the image diagonal in pixels, rounded up. ``apply`` integrates the
     bilinearly interpolated image along every (angle, offset) ray; ``vjp``
-    is the exact transpose of that linear map; ``out_shape`` is
-    (n_angles, detectors). The sampling pattern is compiled once into the
-    CSR ``matrix``.
+    is the exact transpose of that linear map; ``in_shape`` is (h, w) and
+    ``out_shape`` is (n_angles, detectors). The sampling pattern is
+    compiled once into the CSR ``matrix``.
     """
 
     def __init__(self, h, w, n_angles):
@@ -98,7 +107,7 @@ class RadonTransform:
             raise ConfigurationError(
                 f"the Radon transform needs >= 1 angle, got {n_angles}"
             )
-        self.h, self.w = int(h), int(w)
+        self.h, self.w = self.in_shape = (int(h), int(w))
         self.angles = np.arange(n_angles) * np.pi / n_angles
         d = self.detectors = int(np.ceil(np.hypot(h, w)))
         self.out_shape = (n_angles, d)
@@ -183,49 +192,39 @@ class RadonTransform:
         return weights, np.tile(rows, 4), cols
 
     def apply(self, pixels):
-        flat = np.asarray(pixels, dtype=float).ravel()
-        if flat.size != self.h * self.w:
-            raise ShapeError(
-                f"image size {flat.size} != {self.h}x{self.w} geometry"
-            )
+        flat = _checked(pixels, self.in_shape).ravel()
         return (self.matrix @ flat).reshape(self.out_shape)
 
     def vjp(self, cotangent):
-        values = np.asarray(cotangent, dtype=float)
-        if values.shape != self.out_shape:
-            raise ShapeError(
-                f"sinogram shape {values.shape} != {self.out_shape}"
-            )
-        return (self.matrix.T @ values.ravel()).reshape(self.h, self.w)
+        values = _checked(cotangent, self.out_shape).ravel()
+        return (self.matrix.T @ values).reshape(self.in_shape)
 
 
 class _IdentityOp:
     def __init__(self, shape):
-        self.out_shape = shape
+        self.in_shape = self.out_shape = shape
 
     def apply(self, rendered):
-        return rendered
+        return _checked(rendered, self.in_shape)
 
-    def vjp(self, cotangent):
-        return cotangent
+    vjp = apply  # the identity is its own adjoint
 
 
 @dataclass
 class ForwardTask:
     """Everything the training loop needs to fit one signal.
 
-    ``coords`` feed the network; its outputs are reshaped to
-    ``render_shape`` and pushed through ``operator`` before the MSE
-    against ``target``. ``operator`` follows the module's protocol:
-    ``apply``, ``vjp`` (its exact adjoint, the backprop rule) and
-    ``out_shape`` (the shape of ``target``). ``reference`` (when present)
-    is the ground-truth image used for PSNR logging.
+    ``coords`` feed the network; its outputs are reshaped to the
+    operator's ``in_shape`` and pushed through ``operator`` before the
+    MSE against ``target`` (of its ``out_shape``). ``operator`` follows
+    the module's protocol: ``apply``, ``vjp`` (its exact adjoint, the
+    backprop rule), ``in_shape`` and ``out_shape``. ``reference`` (when
+    present) is the ground-truth image used for PSNR logging.
     """
 
     coords: np.ndarray
     target: np.ndarray
     operator: object
-    render_shape: tuple
     reference: ImageGrid | None = None
 
 
@@ -251,7 +250,6 @@ def make_task(name, image, factor=4, n_angles=100):
         coords=coords,
         target=op.apply(image.pixels.copy()),  # the identity returns its input
         operator=op,
-        render_shape=(h, w),
         reference=image,
     )
 
@@ -267,6 +265,5 @@ def make_signal_task(x, y):
         coords=x.reshape(len(y), -1),
         target=y,
         operator=_IdentityOp(y.shape),
-        render_shape=y.shape,
         reference=None,
     )

@@ -171,8 +171,9 @@ def format_table(header, rows):
 
 def parse_table(text):
     """Inverse of ``format_table``: (header, rows). An empty cell reads as
-    None, a number as a float, any other cell as its text. An empty text,
-    or a row whose cell count is not the header's, raises ShapeError."""
+    None, a number in a form ``format_table`` writes as a float, any other
+    cell (``1e5``, ``+1.50``) as its text. An empty text, or a row whose cell
+    count is not the header's, raises ShapeError."""
     lines = text.splitlines()
     if not lines:
         raise ShapeError("empty CSV text")
@@ -182,10 +183,11 @@ def parse_table(text):
         if len(cells) != len(header):
             raise ShapeError(f"CSV line {n}: {len(cells)} cells, header has {len(header)}")
         for i, cell in enumerate(cells):
-            try:
-                cells[i] = float(cell) if cell else None
+            try:  # numbers only in the forms format_table writes
+                if repr(float(cell)) == cell or str(int(cell)) == cell:
+                    cells[i] = float(cell)
             except ValueError:
-                pass
+                cells[i] = cell or None  # empty: None; otherwise the text
     return header, rows
 
 
@@ -230,10 +232,12 @@ def build_network(cfg, task):
 
 def _objective(params, X, task):
     """The one loss, mean((A f(X) - target)^2) with A = ``task.operator``:
-    (loss, resid, rendered, trace). A measurement shape other than the
-    target's is a ShapeError, not a broadcast."""
+    (loss, resid, rendered, trace). An output that does not fill A's
+    ``in_shape`` or measurements not of the target's shape are ShapeErrors."""
     Y, trace = forward(params, X)
-    rendered = Y.reshape(task.render_shape)
+    if Y.size != math.prod(task.operator.in_shape):
+        raise ShapeError(f"output {Y.shape} != rendering {task.operator.in_shape}")
+    rendered = Y.reshape(task.operator.in_shape)
     out = task.operator.apply(rendered)
     if out.shape != task.target.shape:
         raise ShapeError(f"measurements {out.shape} != target {task.target.shape}")

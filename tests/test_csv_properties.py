@@ -21,11 +21,11 @@ _ALPHABET = string.ascii_letters + string.digits + " .+-_:;()[]'"
 
 
 def _is_number(text):
+    """Whether ``text`` is a number in a form ``format_table`` writes."""
     try:
-        float(text)
+        return repr(float(text)) == text or str(int(text)) == text
     except ValueError:
         return False
-    return True
 
 
 _NAMES = st.text(_ALPHABET, max_size=8)
@@ -151,5 +151,19 @@ def test_non_ascii_file_is_shape_error(tmp_path):
 
 def test_text_in_a_number_column_is_shape_error():
     text = "epoch,loss,psnr,lr,vnorm_total,feat_cond\n0,low,,0.1,,\n"
+    with pytest.raises(ShapeError):
+        TrainLog.from_csv(text)
+
+
+@pytest.mark.parametrize("cell", ["1_0", " 1", "+1.50", "1e5", "-0", "01", "NaN", "Infinity"])
+def test_numbers_format_table_does_not_write_stay_text(cell):
+    assert parse_table(f"a,b\n{cell},1.5\n") == (["a", "b"], [[cell, 1.5]])
+
+
+@pytest.mark.parametrize("cell", ["1_0", " 1", "+1.50", "1e5"])
+@pytest.mark.parametrize("column", ["epoch", "loss"])
+def test_non_canonical_number_in_a_log_is_shape_error(cell, column):
+    row = {"epoch": f"{cell},1.0", "loss": f"0,{cell}"}[column]
+    text = f"epoch,loss,psnr,lr,vnorm_total,feat_cond\n{row},,0.1,,\n"
     with pytest.raises(ShapeError):
         TrainLog.from_csv(text)

@@ -36,6 +36,12 @@ class TestLoadPgm:
             with pytest.raises(ImageIOError, match="not a binary PGM"):
                 load_image(path)
 
+    def test_malformed_header_names_the_path(self, tmp_path):
+        path = tmp_path / "letters.pgm"
+        path.write_bytes(b"P5\nab 2\n255\n" + bytes(4))
+        with pytest.raises(ImageIOError, match="letters.pgm: malformed PGM header"):
+            load_image(path)
+
     def test_non_8bit_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")

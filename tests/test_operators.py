@@ -172,6 +172,42 @@ class TestRadon:
         assert spread <= 0.01
 
 
+def _misshapes(shape):
+    """Same-size shapes other than the 2-D ``shape``: transposed (unless
+    square), flattened and regrouped."""
+    (a, b), n = shape, shape[0] * shape[1]
+    regrouped = (a // 2, 2 * b) if a % 2 == 0 else (1, n)
+    return sorted({(b, a), (n,), regrouped} - {shape})
+
+
+_OPERATORS = {
+    "identity": lambda: make_task("sigrep", ImageGrid(np.zeros((6, 4)))).operator,
+    "downsample": lambda: Downsample(16, 16, 4),
+    "radon": lambda: RadonTransform(16, 16, 5),
+}
+
+
+@pytest.mark.parametrize("make_op", _OPERATORS.values(), ids=_OPERATORS.keys())
+class TestOperatorContract:
+    def test_maps_between_the_stated_shapes(self, make_op):
+        op = make_op()
+        rng = np.random.default_rng(4)
+        out = op.apply(rng.standard_normal(op.in_shape))
+        assert out.shape == op.out_shape
+        back = op.vjp(np.ones(op.out_shape, dtype=int))
+        assert back.shape == op.in_shape and back.dtype == np.float64
+
+    def test_any_other_shape_is_a_shape_error(self, make_op):
+        op = make_op()
+        for method, shape in ((op.apply, op.in_shape), (op.vjp, op.out_shape)):
+            bad_shapes = _misshapes(shape)
+            assert len(bad_shapes) >= 2
+            for bad in bad_shapes:
+                with pytest.raises(ShapeError) as err:
+                    method(np.ones(bad))
+                assert str(shape) in str(err.value) and str(bad) in str(err.value)
+
+
 # Frozen reference: each angle's block compiled to CSR on its own, and the
 # blocks stacked with scipy.sparse.vstack.
 def _reference_radon_matrix(h, w, angles, detectors):
@@ -291,5 +327,5 @@ class TestMakeTask:
         # (n, d) inputs and (n, k) targets keep their shapes.
         task = make_signal_task(np.zeros((20, 2)), np.zeros((20, 3)))
         assert task.coords.shape == (20, 2)
-        assert task.target.shape == task.render_shape == (20, 3)
+        assert task.target.shape == task.operator.in_shape == (20, 3)
         assert task.operator.out_shape == (20, 3)

@@ -314,7 +314,7 @@ class TestOneForwardPerState:
         cfg = small_cfg(width=8, depth=2, **kw)
         params, log = train(cfg, task)
         Y, _ = bwinr.network.forward(params, prepare_inputs(cfg, task))
-        expected = Y.reshape(task.render_shape)
+        expected = Y.reshape(task.operator.in_shape)
         assert log.final_render.shape == expected.shape
         assert log.final_render.tobytes() == expected.tobytes()
         assert TrainLog.from_csv(log.to_csv()).final_render is None
@@ -341,6 +341,17 @@ class TestObjective:
             _objective(p, X, task)
         with pytest.raises(ShapeError):
             train(cfg, task)
+
+    def test_output_count_must_fill_the_rendering(self):
+        # One output per row cannot render a (20, 3) signal.
+        X = np.linspace(-1, 1, 40).reshape(20, 2)
+        task = make_signal_task(X, np.zeros((20, 3)))
+        p = init_network(mlp_specs([2, 4, 1], Activation("bwrelu", 3.0)), 0)
+        names = r"\(20, 1\).*\(20, 3\)"
+        with pytest.raises(ShapeError, match=names):
+            grad_check(p, X, task)
+        with pytest.raises(ShapeError, match=names):
+            train(small_cfg(width=4, depth=1), task)
 
     @pytest.mark.parametrize("task_name, kw", [
         ("ct", dict(n_angles=6)),
