@@ -17,8 +17,9 @@ much better than plain ReLU ones on low-dimensional fits:
   perturbation of (1/6) I and its condition number stays O(1).
 
 Entries of the dyadic Gram are integrated exactly from one table of
-overlap integrals per scale gap: both factors are linear on every cell
-of the table's grid, so per-cell Simpson quadrature is exact.
+overlap integrals per scale gap, computed once per process: both factors
+are linear on every cell of the table's grid, so per-cell Simpson
+quadrature is exact. The eigensolve is most of a spectrum's cost.
 
 The variation norm measures the regularity of the learned function
 directly from the weights: each wavelet neuron contributes
@@ -28,6 +29,7 @@ shallow ones, where hidden layers past the first use the identity-input
 convention (unit input norm per neuron).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,14 +130,19 @@ def build_relu_gram(K):
     b = -1.0 + 2.0 * np.arange(K) / K
     s = np.add.outer(b, b)
     p = np.multiply.outer(b, b)
-    m = np.maximum.outer(b, b)
-
-    def antideriv(x):
-        return x**3 / 3.0 - s * x**2 / 2.0 + p * x
-
-    # s, p and m are symmetric bitwise (IEEE +, * and max commute), so the
-    # Gram is too.
-    gram = antideriv(1.0) - antideriv(m)
+    # Entry (i, j) is F(1) - F(max(b_i, b_j)), F(x) = x^3/3 - s x^2/2 + p x.
+    # b ascends, so max(b_i, b_j) = b_j on and above the diagonal; s and p
+    # are symmetric bitwise (IEEE + and * commute), so mirroring is exact.
+    gram = s * b**2
+    gram /= 2.0
+    np.subtract(b**3 / 3.0, gram, out=gram)
+    s /= 2.0
+    np.subtract(1.0 / 3.0, s, out=s)
+    s += p
+    p *= b
+    gram += p
+    np.subtract(s, gram, out=gram)
+    np.copyto(gram, gram.T, where=np.tri(K, k=-1, dtype=bool))
     eigs = sym_eigvals(gram)
     return GramReport(
         matrix=gram,
@@ -155,21 +162,26 @@ def dyadic_system(J):
     return [(j, k) for j in range(J) for k in range(2**j)]
 
 
-def _overlap_integrals(d, m):
-    """I(d, m) = integral of psi(s) psi(2^d s - m) ds for each shift in ``m``.
+@functools.lru_cache(maxsize=None)
+def _overlap_table(d):
+    """Shifts m and entries (2/3) 2^(d/2) I(d, m) of scale gap d, read-only.
 
-    The second factor lives on the six cells [i, i + 1] * h, i = 2m..2m+5,
-    of width h = 2^-(d+1). psi's kinks sit at half-integers, which are
-    multiples of h, so both factors are linear on every cell and Simpson's
-    rule on each cell is exact.
+    I(d, m) = integral of psi(s) psi(2^d s - m) ds. Its second factor lives
+    on the six cells [i, i + 1] * h, i = 2m..2m+5, of width h = 2^-(d+1).
+    psi's kinks sit at half-integers, which are multiples of h, so both
+    factors are linear on every cell and Simpson's rule on each cell is
+    exact. The d = 0 blocks are symmetric, so that table keeps m >= 0.
     """
+    m = np.arange(-2 if d else 0, 3 * 2**d)
     h = 0.5 ** (d + 1)
     # Ends and midpoints of the six cells: s = (2m + t/2) h, t = 0..12.
     s = (2.0 * m[:, None] + 0.5 * np.arange(13)) * h
     prod = psi(s) * psi(2**d * s - m[:, None])
-    return h / 6.0 * np.sum(
+    table = (2.0 / 3.0) * 2.0 ** (d / 2.0) * (h / 6.0 * np.sum(
         prod[:, 0:12:2] + 4.0 * prod[:, 1:12:2] + prod[:, 2:13:2], axis=1
-    )
+    ))
+    m.flags.writeable = table.flags.writeable = False
+    return m, table
 
 
 def check_dyadic_levels(J):
@@ -190,16 +202,13 @@ def build_dyadic_gram(J):
     K = 2**J - 1
     gram = np.zeros((K, K))
     for d in range(J):
-        # The d = 0 blocks are symmetric: fill their upper triangles only.
-        m = np.arange(-2 if d else 0, 3 * 2**d)
-        table = (2.0 / 3.0) * 2.0 ** (d / 2.0) * _overlap_integrals(d, m)
-        for ja in range(J - d):
-            jb = ja + d
-            kb = 2**d * np.arange(2**ja)[:, None] + m
-            ka, i = np.nonzero((kb >= 0) & (kb < 2**jb))
-            a = 2**ja - 1 + ka
-            b = 2**jb - 1 + kb[ka, i]
-            gram[a, b] = gram[b, a] = table[i]
+        m, table = _overlap_table(d)
+        # Row a of kb: shifts at scale ja + d met by wavelet a = (ja, ka).
+        ja = np.repeat(np.arange(J - d), 2 ** np.arange(J - d))
+        kb = 2**d * (np.arange(ja.size) + 1 - 2**ja)[:, None] + m
+        a, i = np.nonzero((kb >= 0) & (kb < 2 ** (ja + d)[:, None]))
+        b = 2 ** (ja[a] + d) - 1 + kb[a, i]
+        gram[a, b] = gram[b, a] = table[i]
     eigs = sym_eigvals(gram)
     return GramReport(
         matrix=gram,

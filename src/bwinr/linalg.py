@@ -37,20 +37,26 @@ def sym_eigvals(a):
 
     ``a`` must be square and symmetric up to ``SYM_TOL_DEFAULT`` relative
     to its largest entry; the symmetrized matrix (a + a.T)/2 is what gets
-    decomposed, so the result is insensitive to round-off asymmetry.
+    decomposed, so the result is insensitive to round-off asymmetry. An
+    exactly symmetric ``a`` is decomposed as it is, which differs from that
+    only where a + a.T overflows (entries above about 9e307) or a zero's
+    sign differs from its mirror's.
     """
     a = _as_matrix(a)
     n, m = a.shape
     if n != m:
         raise ShapeError(f"matrix must be square, got {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    asym = float(np.abs(a - a.T).max())
+    scale = max(1.0, float(a.max()), -float(a.min()))
+    # a - a.T is antisymmetric, so its largest entry is its largest |entry|.
+    asym = float((a - a.T).max())
     if asym > SYM_TOL_DEFAULT * scale:
         raise InvalidInputError(
             f"matrix is not symmetric: max |a - a.T| = {asym:.3e} "
             f"exceeds {SYM_TOL_DEFAULT:.1e} * {scale:.3e}"
         )
-    return np.linalg.eigvalsh((a + a.T) / 2.0)
+    if asym > 0.0:
+        a = (a + a.T) / 2.0
+    return np.linalg.eigvalsh(a)
 
 
 class ConditionNumber(NamedTuple):

@@ -24,6 +24,7 @@ from bwinr import (
     variation_norm_deep,
     variation_norm_shallow,
 )
+from bwinr.diagnostics import _overlap_table
 
 # Same-scale wavelet overlap integrals (2/3) * int psi(t) psi(t - k) dt.
 C1 = 0.030864
@@ -162,6 +163,26 @@ class TestReluGram:
         with pytest.raises(Exception):
             build_relu_gram(1)
 
+    @staticmethod
+    def _antideriv_gram(K):
+        # Frozen copy of the closed form evaluated on the full max(b_i, b_j)
+        # matrix, which the upper-triangle build must match bit for bit.
+        b = -1.0 + 2.0 * np.arange(K) / K
+        s = np.add.outer(b, b)
+        p = np.multiply.outer(b, b)
+        m = np.maximum.outer(b, b)
+
+        def antideriv(x):
+            return x**3 / 3.0 - s * x**2 / 2.0 + p * x
+
+        return antideriv(1.0) - antideriv(m)
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 255, 256, 300, 512])
+    def test_bitwise_equal_to_full_matrix_form(self, K):
+        gram = build_relu_gram(K).matrix
+        expected = self._antideriv_gram(K)
+        assert np.array_equal(gram.view(np.int64), expected.view(np.int64))
+
 
 class TestDyadicGram:
     def test_system_enumeration(self):
@@ -271,6 +292,60 @@ class TestDyadicGramTable:
                 (right - left) / 6.0 * (prod(left) + 4.0 * prod(mid) + prod(right))
             ))
         return gram
+
+    @staticmethod
+    def _scale_loop_gram(J):
+        # Frozen copy of the table build with a fresh table per call and
+        # one pass per scale pair (d, ja), which the cached one-pass-per-gap
+        # build must match bit for bit.
+        gram = np.zeros((2**J - 1, 2**J - 1))
+        for d in range(J):
+            m = np.arange(-2 if d else 0, 3 * 2**d)
+            h = 0.5 ** (d + 1)
+            s = (2.0 * m[:, None] + 0.5 * np.arange(13)) * h
+            prod = psi(s) * psi(2**d * s - m[:, None])
+            table = (2.0 / 3.0) * 2.0 ** (d / 2.0) * (h / 6.0 * np.sum(
+                prod[:, 0:12:2] + 4.0 * prod[:, 1:12:2] + prod[:, 2:13:2], axis=1
+            ))
+            for ja in range(J - d):
+                jb = ja + d
+                kb = 2**d * np.arange(2**ja)[:, None] + m
+                ka, i = np.nonzero((kb >= 0) & (kb < 2**jb))
+                a = 2**ja - 1 + ka
+                b = 2**jb - 1 + kb[ka, i]
+                gram[a, b] = gram[b, a] = table[i]
+        return gram
+
+    @pytest.mark.parametrize("J", range(1, 11))
+    def test_bitwise_equal_to_scale_loop(self, J):
+        gram = build_dyadic_gram(J).matrix
+        expected = self._scale_loop_gram(J)
+        assert np.array_equal(gram.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("J", range(1, 10))
+    def test_leading_block_of_next_level(self, J):
+        # Scales 0..J-1 come first in dyadic_system(J + 1).
+        K = 2**J - 1
+        small = build_dyadic_gram(J).matrix
+        large = build_dyadic_gram(J + 1).matrix
+        assert np.array_equal(small.view(np.int64), large[:K, :K].view(np.int64))
+
+    def test_cached_tables_are_read_only(self):
+        build_dyadic_gram(3)
+        for d in range(3):
+            m, table = _overlap_table(d)
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+            with pytest.raises(ValueError):
+                m[0] = 0
+
+    def test_builds_return_separate_matrices(self):
+        first = build_dyadic_gram(4)
+        expected = first.matrix.copy()
+        first.matrix[...] = 0.0
+        second = build_dyadic_gram(4)
+        assert second.matrix is not first.matrix
+        assert np.array_equal(second.matrix, expected)
 
     @pytest.mark.parametrize("J", range(1, 7))
     def test_matches_pair_loop(self, J):

@@ -47,6 +47,39 @@ class TestSymEigvals:
         eigs = sym_eigvals(q.T @ np.diag(d) @ q)
         assert np.allclose(eigs, d, atol=1e-9)
 
+    @pytest.fixture
+    def eigvalsh_inputs(self, monkeypatch):
+        inputs = []
+        original = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            inputs.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        return inputs
+
+    def test_exactly_symmetric_input_decomposed_as_is(self, eigvalsh_inputs):
+        m = np.random.default_rng(3).standard_normal((9, 9))
+        a = m + m.T
+        eigs = sym_eigvals(a)
+        assert len(eigvalsh_inputs) == 1 and eigvalsh_inputs[0] is a
+        reference = np.linalg.eigvalsh((a + a.T) / 2.0)
+        assert np.array_equal(eigs.view(np.int64), reference.view(np.int64))
+
+    @pytest.mark.parametrize("big", [1e3, -1e3], ids=["positive", "negative"])
+    def test_asymmetry_within_tolerance_symmetrized(self, eigvalsh_inputs, big):
+        # The tolerance is relative to the largest |entry|, of either sign.
+        a = np.array([[big, 1.0], [1.0 + 1e-8, 2.0]])
+        sym_eigvals(a)
+        assert len(eigvalsh_inputs) == 1
+        assert np.array_equal(eigvalsh_inputs[0], (a + a.T) / 2.0)
+
+    @pytest.mark.parametrize("big", [1e3, -1e3], ids=["positive", "negative"])
+    def test_asymmetry_beyond_tolerance_rejected(self, big):
+        with pytest.raises(InvalidInputError):
+            sym_eigvals(np.array([[big, 1.0], [1.0 + 1e-6, 2.0]]))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_trace_equals_eigenvalue_sum(self, seed):
         rng = np.random.default_rng(seed)
@@ -61,7 +94,8 @@ class TestSymEigvals:
     (np.zeros((2, 3)), ShapeError),
     (np.array([[1.0, np.nan], [np.nan, 1.0]]), InvalidInputError),
     (np.array([[np.inf, 0.0], [0.0, 1.0]]), InvalidInputError),
-], ids=["1-d", "non-square", "nan", "inf"])
+    (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), InvalidInputError),
+], ids=["1-d", "non-square", "nan", "inf", "symmetric-inf"])
 def test_matrix_input_checked(fn, a, error):
     with pytest.raises(error):
         fn(a)
