@@ -9,7 +9,8 @@ conditioning  Gram-matrix spectra of the ReLU and dyadic wavelet systems
 vnorm-sweep   scale sweep: PSNR vs total variation norm at equal loss
 
 Defaults follow the per-task hyperparameter tables (see README). Exit
-codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical failure.
+codes, set by each error class in ``bwinr.errors``: 0 success, 1
+configuration or other package error, 2 I/O error, 3 numerical failure.
 All randomness sits behind --seed; repeated runs write bitwise-identical
 CSVs.
 """
@@ -17,7 +18,6 @@ CSVs.
 import argparse
 import re
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,8 +38,9 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     ImageIOError,
-    NumericalError,
     ShapeError,
+    read_file,
+    write_file,
 )
 from .images import load_image, save_image
 from .network import save_checkpoint
@@ -138,36 +139,25 @@ def _config_and_task(args):
     return cfg, make_task(args.task, resolve_image(args.image), **operator)
 
 
-@contextmanager
-def _writing(target):
-    """Report any OSError met while writing ``target`` as ImageIOError (exit 2)."""
-    try:
-        yield
-    except OSError as exc:
-        raise ImageIOError(f"cannot write {target}: {exc}") from exc
-
-
 def _output_dir(path):
     out = Path(path)
-    with _writing(out):
+    try:
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ImageIOError(f"cannot write {out}: {exc}") from exc
     return out
-
-
-def _write_text(path, text):
-    with _writing(path):
-        Path(path).write_bytes(text.encode("ascii"))
 
 
 def write_table(path, header, rows):
     """Write a CSV by ``training.format_table``."""
-    _write_text(path, format_table(header, rows))
+    write_file(path, format_table(header, rows).encode("ascii"))
 
 
 def read_table(path):
     """Parse an ASCII CSV by ``training.parse_table`` into (header, rows)."""
+    data = read_file(path)
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ShapeError(f"{path}: not ASCII text ({exc})") from exc
     return parse_table(text)
@@ -181,13 +171,12 @@ def cmd_train(args):
     try:
         params, log = train(cfg, task)
     except DivergenceError as exc:
-        _write_text(out / "log.csv", exc.log.to_csv())
+        write_file(out / "log.csv", exc.log.to_csv().encode("ascii"))
         raise
 
     save_image(ImageGrid(log.final_render), out / "recon.pgm")  # clamps to [0, 1]
-    _write_text(out / "log.csv", log.to_csv())
-    with _writing(out / "checkpoint.txt"):
-        save_checkpoint(params, out / "checkpoint.txt")
+    write_file(out / "log.csv", log.to_csv().encode("ascii"))
+    save_checkpoint(params, out / "checkpoint.txt")
     final = log.entries[-1]
     if final.vnorm_total is not None:
         report = variation_norm_deep(params)
@@ -398,18 +387,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except ImageIOError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except BwinrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

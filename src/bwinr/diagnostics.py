@@ -42,7 +42,7 @@ from .errors import (
     ShapeError,
     UnsupportedActivationError,
 )
-from .linalg import ConditionNumber, condition_number, sym_eigvals
+from .linalg import COND_FLOOR_REL, ConditionNumber, condition_number, sym_eigvals
 
 VNORM_ATOM_FACTOR = 16.0  # sum of |slope coefficients| of the wavelet's atoms
 
@@ -225,7 +225,9 @@ def feature_gram_condition(trace, layer):
     scratch (training passes its own step's trace, so no second forward
     runs); ``layer`` indexes a hidden layer, and row k of Phi holds neuron
     k's post-activations ``trace.post[layer][:, k]``. The 1/N
-    normalization makes the result invariant to the sample count.
+    normalization makes the result invariant to the sample count. A dead
+    layer (every feature zero) reads the flagged floor 1 / COND_FLOOR_REL,
+    as the other singular Grams do.
     """
     n_hidden = len(trace.post) - 1
     if not 0 <= layer < n_hidden:
@@ -233,8 +235,10 @@ def feature_gram_condition(trace, layer):
             f"layer {layer} is not a hidden layer (0..{n_hidden - 1})"
         )
     feats = trace.post[layer]
-    gram = feats.T @ feats / feats.shape[0]
-    return condition_number(sym_eigvals(gram))
+    eigs = sym_eigvals(feats.T @ feats / feats.shape[0])
+    if eigs[-1] <= 0.0:  # a dead layer: all-zero features, a zero Gram
+        return ConditionNumber(1.0 / COND_FLOOR_REL, True)
+    return condition_number(eigs)
 
 
 def psnr(reference, estimate):

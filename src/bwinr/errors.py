@@ -1,12 +1,19 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its one file boundary.
 
-The CLI maps these onto exit codes: ConfigurationError -> 1,
-ImageIOError -> 2, NumericalError (and subclasses) -> 3.
+Each class carries the CLI's exit code and stderr label for it:
+ConfigurationError -> 1, ImageIOError -> 2, NumericalError (and
+subclasses) -> 3, any other package error -> 1. ``read_file`` and
+``write_file`` are the package's only file access; they report any
+OSError, or a path ``open`` rejects (a null byte), as ImageIOError naming
+the path.
 """
 
 
 class BwinrError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
+    label = "error"
 
 
 class ShapeError(BwinrError, ValueError):
@@ -20,17 +27,25 @@ class InvalidInputError(BwinrError, ValueError):
 class ConfigurationError(BwinrError, ValueError):
     """Bad experiment or network configuration."""
 
+    label = "configuration error"
+
 
 class UnsupportedActivationError(BwinrError, ValueError):
     """Operation is undefined for this activation kind."""
 
 
 class ImageIOError(BwinrError, IOError):
-    """Unreadable, unwritable or malformed image file."""
+    """Unreadable, unwritable or malformed file."""
+
+    exit_code = 2
+    label = "i/o error"
 
 
 class NumericalError(BwinrError, ArithmeticError):
     """Numerical failure (non-finite values, failed convergence)."""
+
+    exit_code = 3
+    label = "numerical failure"
 
 
 class DivergenceError(NumericalError):
@@ -42,3 +57,21 @@ class DivergenceError(NumericalError):
     def __init__(self, message, log=None):
         super().__init__(message)
         self.log = log
+
+
+def read_file(path):
+    """The bytes of ``path``; a failure to open or read it is ImageIOError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
+        raise ImageIOError(f"{path}: {exc}") from exc
+
+
+def write_file(path, data):
+    """Write the bytes ``data`` to ``path``; a failure is ImageIOError."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
+        raise ImageIOError(f"cannot write {path}: {exc}") from exc

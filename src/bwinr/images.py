@@ -6,7 +6,7 @@ exactly.
 
 import numpy as np
 
-from .errors import ImageIOError
+from .errors import ImageIOError, read_file, write_file
 from .operators import ImageGrid
 
 
@@ -32,11 +32,7 @@ def _read_header_token(data, pos):
 
 def load_image(path):
     """Load an 8-bit grayscale binary PGM (P5), mapping bytes to [0, 1]."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ImageIOError(f"{path}: {exc}")
+    data = read_file(path)
     if data[:2] != b"P5":
         raise ImageIOError(f"{path}: not a binary PGM (missing P5 magic)")
     pos = 2
@@ -68,9 +64,4 @@ def save_image(img, path):
     px = np.clip(img.pixels, 0.0, 1.0)
     quantized = np.floor(px * 255.0 + 0.5).astype(np.uint8)
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(quantized.tobytes())
-    except OSError as exc:
-        raise ImageIOError(f"cannot write {path}: {exc}")
+    write_file(path, header + quantized.tobytes())

@@ -24,9 +24,10 @@ SYM_TOL_DEFAULT = 1e-10
 
 
 def _as_matrix(a):
+    """``a`` as a float array, checked to be a non-empty, finite square matrix."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ShapeError(f"matrix must be 2-D, got ndim={a.ndim}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ShapeError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix contains non-finite entries")
     return a
@@ -43,9 +44,6 @@ def sym_eigvals(a):
     sign differs from its mirror's.
     """
     a = _as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise ShapeError(f"matrix must be square, got {a.shape}")
     scale = max(1.0, float(a.max()), -float(a.min()))
     # a - a.T is antisymmetric, so its largest entry is its largest |entry|.
     asym = float((a - a.T).max())
@@ -98,9 +96,6 @@ def gershgorin_discs(a):
     off-diagonal entries. Every eigenvalue lies in the union of the discs.
     """
     a = _as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise ShapeError(f"matrix must be square, got {a.shape}")
     abs_a = np.abs(a)
     radii = abs_a.sum(axis=1) - np.diag(abs_a)
     return list(zip(np.diag(a).tolist(), radii.tolist()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import WAVELET_SHIFTS, Activation, apply, times_derivative
-from .errors import ConfigurationError, InvalidInputError, ShapeError
+from .errors import ConfigurationError, InvalidInputError, ShapeError, read_file, write_file
 
 CHECKPOINT_MAGIC = "BWINR1"
 
@@ -239,8 +239,7 @@ def save_checkpoint(params, path):
         lines.extend(" ".join(repr(v) for v in row) for row in w.tolist())
         lines.append(f"tensor b{l}")
         lines.append(" ".join(repr(v) for v in b.tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _fields(lines, pos, tag):
@@ -288,9 +287,10 @@ def _parse_checkpoint(lines):
 
 
 def load_checkpoint(path):
-    """Read a ``save_checkpoint`` file; malformed content is InvalidInputError."""
+    """Read a ``save_checkpoint`` file: an unreadable file is ImageIOError,
+    malformed content InvalidInputError."""
+    data = read_file(path)
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return _parse_checkpoint(fh.read().splitlines())
+        return _parse_checkpoint(data.decode("ascii").splitlines())
     except ValueError as exc:  # also ConfigurationError, UnicodeDecodeError
         raise InvalidInputError(f"{path}: {exc}") from exc

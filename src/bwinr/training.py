@@ -20,13 +20,7 @@ import numpy as np
 
 from .activations import Activation, positional_encoding
 from .diagnostics import feature_gram_condition, psnr, variation_norm_deep
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    NumericalError,
-    ShapeError,
-    UnsupportedActivationError,
-)
+from .errors import ConfigurationError, DivergenceError, NumericalError, ShapeError
 from .network import NetworkParams, backward, forward, init_network, mlp_specs
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -278,10 +272,8 @@ def _diagnostics_entry(cfg, task, params, trace, epoch, loss, lr, rendered):
     if task.reference is not None:
         snr = psnr(task.reference, rendered)
     vnorm_total = None
-    try:
+    if cfg.activation.kind == "bwrelu":  # build_network's hidden layers all use it
         vnorm_total = variation_norm_deep(params).total
-    except UnsupportedActivationError:
-        pass
     feat = None
     if cfg.track_feature_condition:
         feat = feature_gram_condition(trace, len(params.specs) - 2).value

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bwinr.cli
+import bwinr.errors
 from bwinr import (
     Downsample,
     ImageGrid,
@@ -31,6 +32,19 @@ from bwinr.training import TrainLog, train
 
 def run(args):
     return main(args)
+
+
+# Every error class in bwinr.errors: the exit code and stderr prefix of main.
+_EXITS = [
+    (bwinr.errors.BwinrError, 1, "error: "),
+    (bwinr.errors.ShapeError, 1, "error: "),
+    (bwinr.errors.InvalidInputError, 1, "error: "),
+    (bwinr.errors.ConfigurationError, 1, "configuration error: "),
+    (bwinr.errors.UnsupportedActivationError, 1, "error: "),
+    (bwinr.errors.ImageIOError, 2, "i/o error: "),
+    (bwinr.errors.NumericalError, 3, "numerical failure: "),
+    (bwinr.errors.DivergenceError, 3, "numerical failure: "),
+]
 
 
 def _built_too_early(*args, **kwargs):
@@ -142,6 +156,19 @@ class TestFit:
         header, rows = read_table(out / "vnorm.csv")
         assert [row[0] for row in rows] == [1.0, 2.0, "total"]
         assert rows[-1][1] == log.entries[-1].vnorm_total
+
+    def test_dead_tracked_layer_logs_the_floor(self, tmp_path):
+        # One relu neuron per layer: the tracked layer is all zero.
+        out = tmp_path / "dead"
+        code = run([
+            "fit", "--image", "scene:8", "--width", "1", "--layers", "2",
+            "--act", "relu", "--track-cond", "--epochs", "2", "--seed", "0",
+            "--out", str(out),
+        ])
+        assert code == 0
+        log = TrainLog.from_csv((out / "log.csv").read_text())
+        assert [e.feat_cond for e in log.entries] == [1e14] * 3
+        assert (out / "checkpoint.txt").is_file()
 
     def test_relu_pe_smoke(self, tmp_path):
         code = run([
@@ -382,6 +409,26 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: out of memory: Unable to allocate 149. GiB for an array\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "error, code, prefix", _EXITS, ids=[e.__name__ for e, _, _ in _EXITS]
+    )
+    def test_each_error_class_has_its_exit_code(
+        self, tmp_path, capsys, monkeypatch, error, code, prefix
+    ):
+        def failing(spec):
+            raise error("the message")
+
+        monkeypatch.setattr(bwinr.cli, "resolve_image", failing)
+        assert run(["fit", "--image", "scene:8", "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{prefix}the message\n"
+
+    def test_exit_table_covers_every_error_class(self):
+        classes = {
+            v for v in vars(bwinr.errors).values()
+            if isinstance(v, type) and issubclass(v, bwinr.errors.BwinrError)
+        }
+        assert {error for error, _, _ in _EXITS} == classes
 
     def test_every_task_and_activation_has_defaults(self):
         acts = {act for _, act in DEFAULTS}

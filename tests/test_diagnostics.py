@@ -25,6 +25,7 @@ from bwinr import (
     variation_norm_shallow,
 )
 from bwinr.diagnostics import _overlap_table
+from bwinr.linalg import COND_FLOOR_REL
 
 # Same-scale wavelet overlap integrals (2/3) * int psi(t) psi(t - k) dt.
 C1 = 0.030864
@@ -448,6 +449,14 @@ class TestFeatureGram:
         cond = feature_gram_condition(forward(p, X)[1], 1)
         exact = build_dyadic_gram(J).condition.value
         assert cond.value == pytest.approx(exact, rel=0.10)
+
+    def test_dead_layer_reads_the_floor(self):
+        # Every relu neuron is off on every sample: the Gram is all zero.
+        p = init_network(mlp_specs([1, 3, 1], Activation("relu")), 0)
+        p.weights[0][:] = 0.0
+        p.biases[0][:] = -1.0
+        cond = feature_gram_condition(forward(p, np.linspace(-1, 1, 9)[:, None])[1], 0)
+        assert cond == (1.0 / COND_FLOOR_REL, True)
 
     def test_output_layer_rejected(self):
         p = init_network(mlp_specs([1, 4, 1], Activation("bwrelu", 1.0)), 0)

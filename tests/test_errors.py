@@ -1,0 +1,70 @@
+"""The file boundary: every read and write of the package goes through
+``errors.read_file``/``write_file`` and fails as ImageIOError naming the path."""
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bwinr
+from bwinr import Activation, ImageGrid, ImageIOError, init_network, mlp_specs
+from bwinr.cli import read_table, write_table
+
+SRC = Path(bwinr.__file__).parent
+FILE_METHODS = {"open", "read_bytes", "write_bytes", "read_text", "write_text"}
+
+READERS = [bwinr.load_image, bwinr.load_checkpoint, read_table]
+WRITERS = {
+    "save_image": lambda path: bwinr.save_image(ImageGrid(np.zeros((2, 2))), path),
+    "save_checkpoint": lambda path: bwinr.save_checkpoint(
+        init_network(mlp_specs([2, 3, 1], Activation("relu")), 0), path
+    ),
+    "write_table": lambda path: write_table(path, ["a"], [[1.0]]),
+}
+
+
+def _file_calls(path):
+    """(line, name) of every open(...) or file-method call in ``path``."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            calls.append((node.lineno, "open"))
+        elif isinstance(func, ast.Attribute) and func.attr in FILE_METHODS:
+            calls.append((node.lineno, func.attr))
+    return calls
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", ["missing", "directory", "null-byte"])
+def test_unreadable_path_is_io_error(tmp_path, reader, kind):
+    path = tmp_path / ("in\0" if kind == "null-byte" else "in")
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ImageIOError, match=re.escape(str(path))):
+        reader(path)
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_write_into_missing_directory_is_io_error(tmp_path, name):
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(ImageIOError, match=re.escape(f"cannot write {path}: ")):
+        WRITERS[name](path)
+
+
+def test_only_errors_module_touches_files():
+    outside = {
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+        for line, name in _file_calls(path)
+    }
+    assert not outside
+
+
+def test_guard_sees_the_boundary():
+    # The scan finds the two opens it allows, so an empty result elsewhere
+    # is not a scan that finds nothing.
+    assert [name for _, name in _file_calls(SRC / "errors.py")] == ["open", "open"]

@@ -92,10 +92,11 @@ class TestSymEigvals:
 @pytest.mark.parametrize("a, error", [
     (np.ones(3), ShapeError),
     (np.zeros((2, 3)), ShapeError),
+    (np.zeros((0, 0)), ShapeError),
     (np.array([[1.0, np.nan], [np.nan, 1.0]]), InvalidInputError),
     (np.array([[np.inf, 0.0], [0.0, 1.0]]), InvalidInputError),
     (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), InvalidInputError),
-], ids=["1-d", "non-square", "nan", "inf", "symmetric-inf"])
+], ids=["1-d", "non-square", "empty", "nan", "inf", "symmetric-inf"])
 def test_matrix_input_checked(fn, a, error):
     with pytest.raises(error):
         fn(a)

@@ -17,6 +17,7 @@ from bwinr import (
     ShapeError,
     TrainConfig,
     TrainLog,
+    UnsupportedActivationError,
     adam_step,
     init_adam_state,
     init_network,
@@ -235,6 +236,22 @@ class TestTrainLoop:
         assert final.psnr is not None
         assert final.vnorm_total is not None
         assert len(variation_norm_deep(params).layers) == 2
+
+    @pytest.mark.parametrize("activation", [
+        Activation("bwrelu", 3.0), Activation("relu"), Activation("sine", 30.0),
+        Activation("gaussian", 10.0),
+    ], ids=lambda a: a.kind)
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_vnorm_logged_exactly_where_defined(self, activation, depth):
+        # The log tests cfg.activation; variation_norm_deep tests the net.
+        cfg = small_cfg(activation=activation, epochs=0, width=4, depth=depth)
+        params, log = train(cfg, quadratic_task(8))
+        if activation.kind == "bwrelu":
+            assert log.entries[-1].vnorm_total == variation_norm_deep(params).total
+        else:
+            assert log.entries[-1].vnorm_total is None
+            with pytest.raises(UnsupportedActivationError):
+                variation_norm_deep(params)
 
     def test_feature_condition_tracking(self):
         task = quadratic_task(64)
