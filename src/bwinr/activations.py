@@ -95,27 +95,28 @@ def times_derivative(x, deriv):
     return x
 
 
-def _wavelet_scaled(z, c, out):
-    """psi(c*z) into ``out``, c*psi'(c*z) as segment codes, by flat blocks.
+def _wavelet_scaled(z, c):
+    """psi(c*z) into ``z``, c*psi'(c*z) as segment codes, by flat blocks.
 
-    The blocks walk memory order; ``out`` and the codes share ``z``'s. The
-    codes take the right-derivative at kinks.
+    The blocks walk memory order; the codes share ``z``'s. The codes take
+    the right-derivative at kinks.
     """
     codes = np.empty_like(z, dtype=np.int8)
-    flat_z, flat_out, flat_codes = (v.ravel(order="K") for v in (z, out, codes))
-    # NaN, inf or huge u cast to an undefined index, which the clip sends to a tail.
-    with np.errstate(invalid="ignore"):
+    flat_z, flat_codes = z.ravel(order="K"), codes.ravel(order="K")
+    # NaN, inf or huge u cast to an undefined index, which the clip sends to a
+    # tail. c*z and the table's c*slope may overflow to inf.
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, flat_z.size, _BLOCK):
             hi = lo + _BLOCK
-            u = c * flat_z[lo:hi]
+            val = flat_z[lo:hi]
+            u = c * val
             seg = np.floor(2.0 * u).astype(np.intp)
             np.clip(seg, -1, 6, out=seg)
             seg += 1
-            val = flat_out[lo:hi]
             np.multiply(_SEG_SLOPE[seg], u, out=val)
             val += _SEG_INTERCEPT[seg]
             flat_codes[lo:hi] = seg
-    return CodedDerivative(codes, c * _SEG_SLOPE)
+        return CodedDerivative(codes, c * _SEG_SLOPE)
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,7 @@ def _unit_wavelet(x):
     """
     z = np.array(x, dtype=float)
     np.fmin(np.fmax(z, -1.0, out=z), 4.0, out=z)
-    vals = np.empty_like(z)
-    return vals, _wavelet_scaled(z, 1.0, vals)
+    return z, _wavelet_scaled(z, 1.0)
 
 
 def psi(x):
@@ -169,8 +169,8 @@ def psi_prime(x):
     return float(slopes) if slopes.ndim == 0 else slopes
 
 
-def apply(activation, z, out=None):
-    """Evaluate ``activation`` elementwise on ``z`` with its derivative.
+def apply(activation, z):
+    """Evaluate ``activation`` elementwise on ``z`` in place, with its derivative.
 
     For scaled kinds the function is zeta(c*z) and the returned derivative
     is d/dz zeta(c*z), i.e. the chain factor c is already included. ReLU
@@ -178,34 +178,26 @@ def apply(activation, z, out=None):
     through. The ReLU derivative at 0 follows the right-derivative
     convention (1), matching ``psi_prime`` at its kinks.
 
-    The values go to ``out`` when given: a float64 array with ``z``'s
-    shape and memory order (both C- or both Fortran-contiguous), which may
-    be ``z`` itself. Without ``out``, ``z`` is left unchanged. Values and
-    derivatives keep ``z``'s memory order. The bwrelu and relu derivatives
-    are ``CodedDerivative`` objects (``np.asarray`` makes them dense); the
-    others are arrays.
+    ``z``, a C- or Fortran-contiguous float64 array (else ShapeError), is
+    overwritten with the values and returned with the derivative, in its
+    memory order. The bwrelu and relu derivatives are ``CodedDerivative``
+    objects (``np.asarray`` makes them dense); the others are arrays.
     """
-    z = np.asarray(z, dtype=float)
-    if out is None:
-        out = np.empty_like(z)
-    elif out.dtype != np.float64 or not _same_order(out, z):
-        raise ShapeError(
-            f"out must be a float64 array of shape {z.shape} in z's memory order"
-        )
+    if not isinstance(z, np.ndarray) or z.dtype != np.float64 or not z.flags.forc:
+        raise ShapeError("z must be a C- or Fortran-contiguous float64 array")
     kind = activation.kind
     if kind == "identity":
-        out[...] = z
-        return out, np.ones_like(z)
+        return z, np.ones_like(z)
     if kind == "relu":
         codes = (z >= 0.0).view(np.int8)
-        return np.maximum(z, 0.0, out=out), CodedDerivative(codes, _RELU_SLOPE)
+        return np.maximum(z, 0.0, out=z), CodedDerivative(codes, _RELU_SLOPE)
     c = activation.scale
     if kind == "bwrelu":
-        return out, _wavelet_scaled(z, c, out)
+        return z, _wavelet_scaled(z, c)
     u = c * z
     if kind == "sine":
-        return np.sin(u, out=out), c * np.cos(u)
-    g = np.exp(-(u * u), out=out)  # gaussian, the last kind Activation admits
+        return np.sin(u, out=z), c * np.cos(u)
+    g = np.exp(-(u * u), out=z)  # gaussian, the last kind Activation admits
     return g, -2.0 * c * u * g
 
 

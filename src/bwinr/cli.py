@@ -144,7 +144,7 @@ def _output_dir(path):
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ImageIOError(f"cannot write {out}: {exc}") from exc
+        raise ImageIOError(f"cannot write {out}: {exc.strerror or exc}") from exc
     return out
 
 
@@ -205,8 +205,8 @@ def cmd_train(args):
 
 def cmd_conditioning(args):
     check_dyadic_levels(args.j_max)
-    if not args.k_list:
-        raise ConfigurationError("--k-list needs at least one K")
+    if not args.k_list or len(set(args.k_list)) < len(args.k_list):
+        raise ConfigurationError(f"--k-list needs one or more distinct K, got {args.k_list}")
     for K in args.k_list:
         check_relu_gram_size(K)
     out = _output_dir(args.out)

@@ -5,7 +5,7 @@ ConfigurationError -> 1, ImageIOError -> 2, NumericalError (and
 subclasses) -> 3, any other package error -> 1. ``read_file`` and
 ``write_file`` are the package's only file access; they report any
 OSError, or a path ``open`` rejects (a null byte), as ImageIOError naming
-the path.
+the path once, with the OS's reason (``strerror``) when there is one.
 """
 
 
@@ -49,7 +49,7 @@ class NumericalError(BwinrError, ArithmeticError):
 
 
 class DivergenceError(NumericalError):
-    """Training loss exceeded the divergence threshold.
+    """Training loss exceeded the divergence threshold, or a gradient was not finite.
 
     Carries the log collected up to the failing epoch in ``log``.
     """
@@ -65,7 +65,8 @@ def read_file(path):
         with open(path, "rb") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
-        raise ImageIOError(f"{path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise ImageIOError(f"{path}: {reason}") from exc
 
 
 def write_file(path, data):
@@ -74,4 +75,5 @@ def write_file(path, data):
         with open(path, "wb") as fh:
             fh.write(data)
     except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
-        raise ImageIOError(f"cannot write {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise ImageIOError(f"cannot write {path}: {reason}") from exc

@@ -178,7 +178,7 @@ def forward(params, X):
         z = np.empty((X.shape[0], spec.out_dim), order="F")
         np.matmul(a, w.T, out=z)
         z += b
-        a, d = apply(spec.activation, z, out=z)
+        a, d = apply(spec.activation, z)
         post.append(a)
         deriv.append(d)
     return a, ForwardTrace(inputs=X, post=post, deriv=deriv)

@@ -291,14 +291,16 @@ def train(cfg, task):
     Diagnostics are logged every ``cfg.diagnostic_period`` epochs and at
     the final state, reached after ``cfg.epochs`` steps or at the first
     loss <= ``cfg.target_loss``; its rendering is ``log.final_render``.
-    Raises DivergenceError (log attached) if the loss blows past 1e12.
+    A loss past 1e12 or a non-finite gradient raises DivergenceError (log
+    attached) in place of numpy's overflow and invalid-value warnings.
     """
     params, X = build_network(cfg, task)
     state = init_adam_state(params)
     log = TrainLog()
     period = cfg.diagnostic_period
     for t in range(cfg.epochs + 1):
-        loss, resid, rendered, trace = _objective(params, X, task)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, resid, rendered, trace = _objective(params, X, task)
         if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
             raise DivergenceError(
                 f"loss diverged at epoch {t}: {loss:.3e}", log=log
@@ -314,6 +316,10 @@ def train(cfg, task):
         if final:
             log.final_render = rendered
             return params, log
-        grads = _gradients(params, trace, task, resid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = _gradients(params, trace, task, resid)
         del trace  # free it before the next forward allocates another
-        params, state = adam_step(params, grads, state, lr, cfg.weight_decay)
+        try:
+            params, state = adam_step(params, grads, state, lr, cfg.weight_decay)
+        except NumericalError as exc:
+            raise DivergenceError(f"{exc} at epoch {t}", log=log) from exc

@@ -116,15 +116,24 @@ class TestApply:
         assert vals[0] == pytest.approx(5 / 6)
 
     def test_bwrelu_non_finite_and_huge_inputs_do_not_warn(self):
-        # The segment index's float->int cast sees NaN, inf and 1.5e300.
-        z = np.array([np.nan, np.inf, -np.inf, 1e300, 0.5])
+        # The segment index's float->int cast sees NaN, inf and 3e300;
+        # c*z overflows to inf at 1e308.
+        z = np.array([np.nan, np.inf, -np.inf, 1e308, 1e300, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, derivs = apply(Activation("bwrelu", 3.0), z)
-        assert np.isnan(vals[:3]).all()
-        assert vals[3] == 0.0
-        assert vals[4] == psi(1.5)
-        assert np.asarray(derivs)[4] == 3.0 * psi_prime(1.5)
+        assert np.isnan(vals[:4]).all()
+        assert vals[4] == 0.0
+        assert vals[5] == psi(1.5)
+        assert np.asarray(derivs)[5] == 3.0 * psi_prime(1.5)
+
+    def test_bwrelu_huge_scale_does_not_warn(self):
+        # c * slope overflows in the derivative table.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, derivs = apply(Activation("bwrelu", 1e308), np.array([-1.0, 0.0]))
+        assert np.array_equal(vals, [0.0, 0.0])
+        assert np.isinf(derivs.table).any()
 
     def test_sine_chain_factor(self):
         vals, derivs = apply(Activation("sine", 2.0), np.array([0.0]))
@@ -143,7 +152,7 @@ class TestApply:
     def test_bwrelu_scale_dilates(self):
         c = 3.0
         z = np.linspace(-1, 2, 401)
-        vals, derivs = apply(Activation("bwrelu", c), z)
+        vals, derivs = apply(Activation("bwrelu", c), z.copy())
         assert np.allclose(vals, atoms_sum(c * z))
         assert np.array_equal(np.asarray(derivs), c * atoms_slope(c * z))
 
@@ -185,54 +194,74 @@ def kink_inputs(c):
     return np.concatenate([near, fill]).reshape(200, 100)
 
 
+def fresh_reference(act, z):
+    """Values and dense derivative of ``act`` at ``z``, evaluated out of
+    place in the same IEEE operations as ``apply``'s in-place ones."""
+    c = act.scale
+    if act.kind == "identity":
+        return z.copy(), np.ones_like(z)
+    if act.kind == "relu":
+        return np.maximum(z, 0.0), (z >= 0.0).astype(float)
+    if act.kind == "bwrelu":
+        return psi(c * z), c * psi_prime(c * z)
+    u = c * z
+    if act.kind == "sine":
+        return np.sin(u), c * np.cos(u)
+    g = np.exp(-(u * u))
+    return g, -2.0 * c * u * g
+
+
 class TestApplyInPlace:
     @pytest.mark.parametrize("act", KINDS_UNDER_TEST, ids=lambda a: a.kind)
     def test_out_is_z_matches_fresh_output(self, act):
         z = kink_inputs(2.0)
         vals, derivs = apply(act, z.copy())
-        in_place = z.copy()
-        vals_in, derivs_in = apply(act, in_place, out=in_place)
-        assert vals_in is in_place
-        assert np.array_equal(vals_in, vals)
-        assert np.array_equal(np.asarray(derivs_in), np.asarray(derivs))
+        ref_vals, ref_derivs = fresh_reference(act, z)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(np.asarray(derivs), ref_derivs)
 
     @pytest.mark.parametrize("act", KINDS_UNDER_TEST, ids=lambda a: a.kind)
     def test_fortran_order_matches_c_order(self, act):
         z = kink_inputs(2.0)
         vals, derivs = apply(act, z.copy())
         z_f = np.asfortranarray(z)
-        vals_f, derivs_f = apply(act, z_f, out=z_f)
+        vals_f, derivs_f = apply(act, z_f)
         assert vals_f is z_f
         assert np.array_equal(vals_f, vals)
         assert np.array_equal(np.asarray(derivs_f), np.asarray(derivs))
 
     @pytest.mark.parametrize("act", KINDS_UNDER_TEST, ids=lambda a: a.kind)
-    def test_z_unchanged_without_out(self, act):
+    def test_returns_z_holding_the_values(self, act):
         z = kink_inputs(2.0)
-        before = z.copy()
-        apply(act, z)
-        assert np.array_equal(z, before)
+        expected, _ = fresh_reference(act, z)
+        vals, _ = apply(act, z)
+        assert vals is z
+        assert np.array_equal(z, expected)
 
     @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
     def test_bwrelu_codes_equal_dense_derivative(self, c):
         z = kink_inputs(c)
-        _, derivs = apply(Activation("bwrelu", c), z)
+        _, derivs = apply(Activation("bwrelu", c), z.copy())
         assert derivs.codes.dtype == np.int8
         assert derivs.nbytes == z.size
         assert np.array_equal(np.asarray(derivs), c * atoms_slope(c * z))
 
     def test_relu_codes_equal_dense_derivative(self):
         z = kink_inputs(1.0)
-        _, derivs = apply(Activation("relu"), z)
+        _, derivs = apply(Activation("relu"), z.copy())
         assert derivs.codes.dtype == np.int8
         assert np.array_equal(np.asarray(derivs), (z >= 0.0).astype(float))
 
-    def test_bad_out_rejected(self):
-        z = np.zeros((4, 3))
-        for out in (np.zeros((3, 4)), np.zeros((4, 3), dtype=np.float32),
-                    np.zeros((3, 4)).T):
+    def test_bad_z_rejected(self):
+        # A strided slice would be copied by the kernel's flat view, losing
+        # the values; a Fortran array such as a C array's transpose is valid.
+        for z in ([0.0, 1.0], np.zeros((4, 3), dtype=np.float32),
+                  np.zeros((4, 3), dtype=int), np.zeros((4, 6))[:, ::2]):
             with pytest.raises(ShapeError):
-                apply(Activation("bwrelu", 1.0), z, out=out)
+                apply(Activation("bwrelu", 1.0), z)
+        z_t = np.full((3, 4), 0.5).T
+        vals, _ = apply(Activation("bwrelu", 1.0), z_t)
+        assert vals is z_t and np.all(z_t == psi(0.5))
 
     def test_times_derivative_needs_matching_contiguous_array(self):
         _, derivs = apply(Activation("relu"), np.zeros((4, 3)))
@@ -250,7 +279,7 @@ class TestApplyInPlace:
 class TestOneEvaluationPath:
     def test_psi_is_the_layer_kernel_at_scale_one(self):
         z = kink_inputs(1.0)
-        vals, _ = apply(Activation("bwrelu", 1.0), z)
+        vals, _ = apply(Activation("bwrelu", 1.0), z.copy())
         assert np.array_equal(psi(z), vals)
 
     def test_infinities_give_zero(self):
@@ -272,7 +301,7 @@ class TestOneEvaluationPath:
     @pytest.mark.parametrize("act", [Activation("relu"), Activation("bwrelu", 3.0)],
                              ids=lambda a: a.kind)
     def test_coded_derivative_of_a_scalar_is_dense(self, act):
-        _, derivs = apply(act, 0.5)
+        _, derivs = apply(act, np.array(0.5))
         dense = np.asarray(derivs)
         assert dense.shape == ()
         assert dense == np.take(derivs.table, derivs.codes)

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -322,7 +323,8 @@ class TestExitCodes:
         ["--k-list", ","],
         ["--k-list", "8,1"],
         ["--k-list", "8,513"],
-    ], ids=["j0", "j11", "k-empty", "k1", "k513"])
+        ["--k-list", "8,16,8"],
+    ], ids=["j0", "j11", "k-empty", "k1", "k513", "k-repeated"])
     def test_conditioning_range_is_config_error(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
         code = run(["conditioning", *flags, "--out", str(out)])
@@ -479,7 +481,8 @@ class TestExitCodes:
         blocker.write_text("")
         code = run(command + ["--out", str(blocker / "sub")])
         assert code == 2
-        assert "i/o error" in capsys.readouterr().err
+        reason = os.strerror(errno.ENOTDIR)
+        assert capsys.readouterr().err == f"i/o error: cannot write {blocker / 'sub'}: {reason}\n"
 
     @pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt", "recon.pgm"])
     def test_unwritable_output_file_is_io_error(self, tmp_path, capsys, name):
@@ -492,6 +495,17 @@ class TestExitCodes:
         assert code == 2
         assert f"cannot write {out / name}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_image_names_path_once(self, tmp_path, capsys, kind):
+        path = tmp_path / "in"
+        reason = os.strerror(errno.ENOENT)
+        if kind == "directory":
+            path.mkdir()
+            reason = os.strerror(errno.EISDIR)
+        code = run(["fit", "--image", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"i/o error: {path}: {reason}\n"
+
     def test_divergence_is_numerical_failure(self, tmp_path):
         out = tmp_path / "o"
         code = run([
@@ -503,3 +517,18 @@ class TestExitCodes:
         assert [p.name for p in out.iterdir()] == ["log.csv"]
         log = TrainLog.from_csv((out / "log.csv").read_text())
         assert log.entries and log.entries[-1].epoch < 50
+
+    def test_non_finite_gradient_is_one_line_and_keeps_log(self, tmp_path, capsys):
+        # sine at c = 1e200 overflows in backward; numpy's warnings would be
+        # errors here, so one clean line also means none was raised.
+        out = tmp_path / "o"
+        code = run([
+            "fit", "--image", "scene:8", "--act", "sine", "--c", "1e200",
+            "--width", "4", "--epochs", "3", "--log-every", "1", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: non-finite gradient encountered at epoch 0"
+        ]
+        log = TrainLog.from_csv((out / "log.csv").read_text())
+        assert [e.epoch for e in log.entries] == [0]
