@@ -227,7 +227,8 @@ def feature_gram_condition(trace, layer):
     k's post-activations ``trace.post[layer][:, k]``. The 1/N
     normalization makes the result invariant to the sample count. A dead
     layer (every feature zero) reads the flagged floor 1 / COND_FLOOR_REL,
-    as the other singular Grams do.
+    as the other singular Grams do. A layer the trace does not hold (see
+    ``ForwardTrace``; never the last hidden layer) is an InvalidInputError.
     """
     n_hidden = len(trace.post) - 1
     if not 0 <= layer < n_hidden:
@@ -235,6 +236,11 @@ def feature_gram_condition(trace, layer):
             f"layer {layer} is not a hidden layer (0..{n_hidden - 1})"
         )
     feats = trace.post[layer]
+    if feats is None:
+        raise InvalidInputError(
+            f"layer {layer} is not in the trace: forward drops it once the "
+            "next layer has read it, and only backward rebuilds it"
+        )
     eigs = sym_eigvals(feats.T @ feats / feats.shape[0])
     if eigs[-1] <= 0.0:  # a dead layer: all-zero features, a zero Gram
         return ConditionNumber(1.0 / COND_FLOOR_REL, True)

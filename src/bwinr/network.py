@@ -94,15 +94,21 @@ class ForwardTrace:
     Every ``post`` buffer is feature-major (Fortran order), and so are the
     derivative codes and dense derivatives that ``apply`` derives from it.
 
+    When hidden layer 2 has layer 0's width (every net of three or more
+    uniform hidden layers), ``post[0]`` and ``deriv[0]`` are None:
+    ``forward`` drops them once layer 1 has read them, and ``backward``
+    rebuilds them, bit for bit, in ``post[2]`` after that buffer is spent.
+
     ``backward`` consumes the trace: it writes each hidden layer's
     cotangent into that layer's ``post`` buffer once nothing reads it
     again, so afterwards ``post[:-1]`` hold scratch values. ``post[-1]``
-    (the network output) and every ``deriv`` are left unchanged.
+    (the network output) and every ``deriv`` the trace holds are left
+    unchanged.
     """
 
     inputs: np.ndarray           # (n, in_dim) batch fed to the first layer
-    post: list                   # (n, out_l) post-activations per layer, F order
-    deriv: list                  # (n, out_l) derivatives: arrays or CodedDerivative
+    post: list                   # (n, out_l) post-activations per layer, F order, or None
+    deriv: list                  # (n, out_l) derivatives: arrays or CodedDerivative, or None
 
 
 def _validate_specs(specs):
@@ -156,13 +162,28 @@ def init_network(specs, seed):
     return NetworkParams(specs=specs, weights=weights, biases=biases, seed=seed)
 
 
+def _rebuilds_first_layer(specs):
+    """Whether ``backward`` can rebuild hidden layer 0 in hidden layer 2's
+    spent buffer, so that ``forward`` need not keep it."""
+    return len(specs) > 3 and specs[2].out_dim == specs[0].out_dim
+
+
+def _layer(spec, w, b, a, z):
+    """One layer evaluated into ``z``: ``a @ w.T + b``, then ``apply``."""
+    np.matmul(a, w.T, out=z)
+    z += b
+    return apply(spec.activation, z)
+
+
 def forward(params, X):
     """Network output and the trace needed to backpropagate through it.
 
     Each layer's pre-activation goes into a fresh (n, width) buffer in
     Fortran order, which the activation then overwrites in place. Feature
     major, the batch is the M dimension of every GEMM, so OpenBLAS packs
-    only the (width, width) weight, never the n-row batch.
+    only the (width, width) weight, never the n-row batch. Hidden layer 0
+    leaves the trace once layer 1 has read it if ``backward`` can rebuild
+    it (see ForwardTrace), so two hidden-sized arrays are alive at most.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -176,9 +197,9 @@ def forward(params, X):
     post, deriv = [], []
     for spec, w, b in zip(params.specs, params.weights, params.biases):
         z = np.empty((X.shape[0], spec.out_dim), order="F")
-        np.matmul(a, w.T, out=z)
-        z += b
-        a, d = apply(spec.activation, z)
+        a, d = _layer(spec, w, b, a, z)
+        if len(post) == 1 and _rebuilds_first_layer(params.specs):
+            post[0] = deriv[0] = None  # layer 1 has read it; backward rebuilds it
         post.append(a)
         deriv.append(d)
     return a, ForwardTrace(inputs=X, post=post, deriv=deriv)
@@ -191,6 +212,8 @@ def backward(params, trace, dY):
     and batch; mismatched shapes raise InvalidInputError. The trace's
     hidden ``post`` buffers are reused as cotangent storage, so after
     this call ``trace.post[:-1]`` hold scratch values (see ForwardTrace).
+    A hidden layer 0 the trace lacks is re-evaluated by ``forward``'s
+    step into the spent ``post[2]``, so no hidden-sized array is allocated.
     A one-unit layer's cotangent ``delta @ W`` has K = 1, so it is the
     broadcast product ``delta * W`` (bitwise the GEMM's value, without a
     GEMM into a Fortran-ordered buffer).
@@ -199,18 +222,28 @@ def backward(params, trace, dY):
     n_layers = len(params.weights)
     if len(trace.post) != n_layers or len(trace.deriv) != n_layers:
         raise InvalidInputError("trace layer count does not match params")
-    for spec, a in zip(params.specs, trace.post):
-        if a.shape != (trace.inputs.shape[0], spec.out_dim):
-            raise InvalidInputError("trace shapes do not match params")
+    shapes = [(trace.inputs.shape[0], spec.out_dim) for spec in params.specs]
+    if _rebuilds_first_layer(params.specs):
+        shapes[0] = None
+    if [None if a is None else a.shape for a in trace.post] != shapes:
+        raise InvalidInputError("trace shapes do not match params")
     if dY.shape != trace.post[-1].shape:
         raise InvalidInputError(
             f"cotangent shape {dY.shape} != output shape {trace.post[-1].shape}"
         )
     d_weights = [None] * n_layers
     d_biases = [None] * n_layers
-    delta = times_derivative(dY.copy(), trace.deriv[-1])
+    deriv = list(trace.deriv)
+    delta = times_derivative(dY.copy(), deriv[-1])
     for l in range(n_layers - 1, -1, -1):
-        a_in = trace.inputs if l == 0 else trace.post[l - 1]
+        if l == 1 and trace.post[0] is None:
+            # post[2] held the cotangent that has just moved to post[1].
+            a_in, deriv[0] = _layer(
+                params.specs[0], params.weights[0], params.biases[0],
+                trace.inputs, trace.post[2],
+            )
+        else:
+            a_in = trace.inputs if l == 0 else trace.post[l - 1]
         d_weights[l] = delta.T @ a_in
         d_biases[l] = delta.sum(axis=0)
         if l > 0:
@@ -218,7 +251,7 @@ def backward(params, trace, dY):
             w = params.weights[l]
             product = np.multiply if w.shape[0] == 1 else np.matmul
             delta = product(delta, w, out=a_in)
-            delta = times_derivative(delta, trace.deriv[l - 1])
+            delta = times_derivative(delta, deriv[l - 1])
     return Gradients(weights=d_weights, biases=d_biases)
 
 

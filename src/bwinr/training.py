@@ -106,7 +106,9 @@ def adam_step(params, grads, state, lr, weight_decay=0.0):
     """One bias-corrected Adam step; returns fresh (params, state).
 
     ``weight_decay`` adds 2*lambda*w to each weight gradient (biases are
-    left unregularized).
+    left unregularized). A non-finite gradient, or a finite one so large
+    (above about 1e154) that its second moment overflows, raises
+    NumericalError instead of numpy's overflow warning.
     """
     t = state.step + 1
     step_size = lr * math.sqrt(1.0 - ADAM_BETA2**t) / (1.0 - ADAM_BETA1**t)
@@ -114,12 +116,15 @@ def adam_step(params, grads, state, lr, weight_decay=0.0):
     theta, m, v = [], [], []
     for i, (p, g) in enumerate(zip(params.weights + params.biases,
                                    grads.weights + grads.biases)):
-        if weight_decay and i < n_weights:
-            g = g + 2.0 * weight_decay * p
-        if not np.all(np.isfinite(g)):
-            raise NumericalError("non-finite gradient encountered")
-        m.append(ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g)
-        v.append(ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g)
+        with np.errstate(over="ignore"):
+            if weight_decay and i < n_weights:
+                g = g + 2.0 * weight_decay * p
+            if not np.all(np.isfinite(g)):
+                raise NumericalError("non-finite gradient encountered")
+            m.append(ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g)
+            v.append(ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g)
+        if not np.all(np.isfinite(v[i])):
+            raise NumericalError("non-finite Adam second moment encountered")
         theta.append(p - step_size * m[i] / (np.sqrt(v[i]) + ADAM_EPS))
     new = NetworkParams(
         specs=params.specs,

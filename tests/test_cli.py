@@ -27,8 +27,9 @@ from bwinr.cli import (
     main,
     read_table,
 )
-from bwinr.network import load_checkpoint
-from bwinr.training import TrainLog, train
+from bwinr.diagnostics import feature_gram_condition
+from bwinr.network import forward, load_checkpoint
+from bwinr.training import TrainLog, prepare_inputs, train
 
 
 def run(args):
@@ -170,6 +171,31 @@ class TestFit:
         log = TrainLog.from_csv((out / "log.csv").read_text())
         assert [e.feat_cond for e in log.entries] == [1e14] * 3
         assert (out / "checkpoint.txt").is_file()
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_tracked_kappa_is_the_final_params_last_hidden_layer(
+        self, tmp_path, monkeypatch, layers
+    ):
+        # From three hidden layers on the trace drops layer 0; the tracked
+        # layer, the last hidden one, is always held.
+        runs = []
+
+        def recording(cfg, task):
+            runs.append((cfg, task))
+            return train(cfg, task)
+
+        monkeypatch.setattr(bwinr.cli, "train", recording)
+        out = tmp_path / "run"
+        code = run([
+            "fit", "--image", "scene:32", "--width", "16", "--layers", str(layers),
+            "--epochs", "3", "--log-every", "1", "--track-cond", "--out", str(out),
+        ])
+        assert code == 0
+        [(cfg, task)] = runs
+        trace = forward(load_checkpoint(out / "checkpoint.txt"), prepare_inputs(cfg, task))[1]
+        expected = feature_gram_condition(trace, layers - 1).value
+        log = TrainLog.from_csv((out / "log.csv").read_text())
+        assert log.entries[-1].feat_cond == expected
 
     def test_relu_pe_smoke(self, tmp_path):
         code = run([
@@ -517,6 +543,20 @@ class TestExitCodes:
         assert [p.name for p in out.iterdir()] == ["log.csv"]
         log = TrainLog.from_csv((out / "log.csv").read_text())
         assert log.entries and log.entries[-1].epoch < 50
+
+    def test_overflowing_adam_moment_is_one_line_and_keeps_log(self, tmp_path, capsys):
+        # At c = 1e80 the gradient is finite but its square is not.
+        out = tmp_path / "o"
+        code = run([
+            "fit", "--image", "scene:8", "--act", "sine", "--c", "1e80",
+            "--width", "4", "--epochs", "3", "--log-every", "1", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: non-finite Adam second moment encountered at epoch 0"
+        ]
+        log = TrainLog.from_csv((out / "log.csv").read_text())
+        assert [e.epoch for e in log.entries] == [0]
 
     def test_non_finite_gradient_is_one_line_and_keeps_log(self, tmp_path, capsys):
         # sine at c = 1e200 overflows in backward; numpy's warnings would be

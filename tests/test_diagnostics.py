@@ -463,6 +463,15 @@ class TestFeatureGram:
         with pytest.raises(InvalidInputError):
             feature_gram_condition(forward(p, np.zeros((3, 1)))[1], 1)
 
+    def test_layer_the_trace_does_not_hold_rejected(self):
+        # With three uniform hidden layers forward drops layer 0 (backward
+        # rebuilds it); the later layers are held and still read.
+        p = init_network(mlp_specs([1, 4, 4, 4, 1], Activation("bwrelu", 1.0)), 0)
+        trace = forward(p, np.linspace(-1, 1, 20)[:, None])[1]
+        with pytest.raises(InvalidInputError, match="layer 0 is not in the trace"):
+            feature_gram_condition(trace, 0)
+        feature_gram_condition(trace, 2)
+
 
 class TestPsnr:
     def test_identical_images(self):

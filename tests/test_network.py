@@ -196,6 +196,14 @@ class TestBackward:
         with pytest.raises(InvalidInputError):
             backward(p, trace, np.zeros((4, 1)))
 
+    def test_trace_of_other_widths_rejected(self):
+        # Both nets drop hidden layer 0; the held layers' shapes still differ.
+        p = init_network(mlp_specs([2, 6, 6, 6, 1], BW3), 1)
+        wider = init_network(mlp_specs([2, 8, 8, 8, 1], BW3), 1)
+        _, trace = forward(wider, np.zeros((4, 2)))
+        with pytest.raises(InvalidInputError):
+            backward(p, trace, np.zeros((4, 1)))
+
     def test_wrong_cotangent_shape_rejected(self):
         p = init_network(mlp_specs([2, 6, 1], BW3), 1)
         _, trace = forward(p, np.zeros((4, 2)))
@@ -249,6 +257,9 @@ def _reference_apply(act, z):
     u = c * z
     if act.kind == "sine":
         return np.sin(u), c * np.cos(u)
+    if act.kind == "gaussian":
+        g = np.exp(-(u * u))
+        return g, -2.0 * c * u * g
     seg = np.clip(np.floor(2.0 * u).astype(np.intp), -1, 6) + 1
     slope = _REF_SLOPE[seg]
     return slope * u + _REF_INTERCEPT[seg], c * slope
@@ -276,31 +287,44 @@ def _reference_forward_backward(params, X, dY):
     return a, post, deriv, d_weights, d_biases
 
 
+_DENSE_CASES = [  # id, activation, positional-encoding levels, outputs
+    ("bwrelu", BW3, None, 1), ("relu-pe", Activation("relu"), 4, 1),
+    ("sine", Activation("sine", 5.0), None, 1),
+    ("gaussian", Activation("gaussian", 2.0), None, 1),
+    ("bwrelu-3-outputs", BW3, None, 3),
+]
+
+
 class TestLeanLayers:
     # Three output units take backward's GEMM branch for the output layer;
-    # one unit takes the broadcast product.
-    @pytest.mark.parametrize("act, pe, outputs", [
-        (BW3, None, 1), (Activation("relu"), 4, 1),
-        (Activation("sine", 5.0), None, 1), (BW3, None, 3),
-    ], ids=["bwrelu", "relu-pe", "sine", "bwrelu-3-outputs"])
-    def test_matches_dense_reference_bitwise(self, act, pe, outputs):
+    # one unit takes the broadcast product. From three hidden layers on,
+    # the trace drops hidden layer 0 and backward rebuilds it.
+    @pytest.mark.parametrize("act, pe, outputs, depth", [
+        pytest.param(act, pe, outputs, depth,
+                     id=name if depth == 2 else f"{name}-depth{depth}")
+        for name, act, pe, outputs in _DENSE_CASES for depth in (2, 3, 4)
+    ])
+    def test_matches_dense_reference_bitwise(self, act, pe, outputs, depth):
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, (800, 2))
         if pe is not None:
             X = positional_encoding(X, pe)
-        p = init_network(mlp_specs([X.shape[1], 24, 24, outputs], act), 5)
+        p = init_network(mlp_specs([X.shape[1]] + [24] * depth + [outputs], act), 5)
         dY = rng.standard_normal((800, outputs))
         Y, trace = forward(p, X)
         ref_Y, ref_post, ref_deriv, ref_dw, ref_db = _reference_forward_backward(
             p, X, dY
         )
         assert np.array_equal(Y, ref_Y)
+        held = [l for l, a in enumerate(trace.post) if a is not None]
+        assert held == list(range(1 if depth >= 3 else 0, depth + 1))
+        assert [l for l, d in enumerate(trace.deriv) if d is not None] == held
         # backward reuses post[:-1] as scratch, so check them before it runs.
-        for a, ref in zip(trace.post, ref_post):
-            assert np.array_equal(a, ref)
+        for l in held:
+            assert np.array_equal(trace.post[l], ref_post[l])
         g = backward(p, trace, dY)
-        for d, ref in zip(trace.deriv, ref_deriv):
-            assert np.array_equal(np.asarray(d), ref)
+        for l in held:
+            assert np.array_equal(np.asarray(trace.deriv[l]), ref_deriv[l])
         for got, ref in zip(g.weights + g.biases, ref_dw + ref_db):
             assert np.array_equal(got, ref)
 
@@ -320,8 +344,11 @@ class TestLeanLayers:
             if name.split(".")[0] == "bwinr" and getattr(module, "apply", None) is real:
                 monkeypatch.setattr(module, "apply", counted(name))
         p = init_network(mlp_specs([2, 6, 6, 6, 1], BW3), 0)
-        forward(p, np.zeros((5, 2)))
+        _, trace = forward(p, np.zeros((5, 2)))
         assert calls == ["bwinr.network"] * len(p.specs)
+        # backward's rebuild of hidden layer 0 is one more call, the same way.
+        backward(p, trace, np.zeros((5, 1)))
+        assert calls == ["bwinr.network"] * (len(p.specs) + 1)
 
     @pytest.mark.parametrize("act", [BW3, Activation("relu")], ids=["bwrelu", "relu"])
     def test_hidden_buffers_and_codes_are_feature_major(self, act):
@@ -333,17 +360,33 @@ class TestLeanLayers:
             assert d.codes.flags.f_contiguous and not d.codes.flags.c_contiguous
 
     def test_bwrelu_trace_bytes(self):
-        # Post-activations at 8 B/element, hidden derivative codes at
-        # 1 B/element, plus the inputs and the dense identity derivative.
-        n, sizes = 50, [2, 30, 20, 10, 1]
-        p = init_network(mlp_specs(sizes, BW3), 0)
-        _, trace = forward(p, np.zeros((n, 2)))
-        traced = trace.inputs.nbytes + sum(
-            v.nbytes for v in trace.post + trace.deriv
-        )
-        post = 8 * n * sum(sizes[1:])
-        codes = 1 * n * sum(sizes[1:-1])
-        assert traced == 8 * n * sizes[0] + post + codes + 8 * n * sizes[-1]
+        # Held post-activations at 8 B/element, their derivative codes at
+        # 1 B/element, plus the inputs and the output's values and dense
+        # identity derivative. Hidden layer 0 (9 B/element) is dropped when
+        # hidden layer 2 has its width, so backward can rebuild it there;
+        # mixed widths keep it.
+        n = 50
+        for sizes, hidden in [([2, 30, 20, 10, 1], [30, 20, 10]),
+                              ([2, 30, 30, 30, 1], [30, 30])]:
+            p = init_network(mlp_specs(sizes, BW3), 0)
+            _, trace = forward(p, np.zeros((n, 2)))
+            traced = trace.inputs.nbytes + sum(
+                v.nbytes for v in trace.post + trace.deriv if v is not None
+            )
+            assert traced == 8 * n * sizes[0] + 9 * n * sum(hidden) + 16 * n * sizes[-1]
+
+    def test_forward_peaks_below_three_hidden_arrays(self):
+        # Hidden layer 0 goes once layer 1 has read it, so at most two
+        # (n, width) float64 arrays are alive at once.
+        p = init_network(mlp_specs([2, 64, 64, 64, 1], BW3), 0)
+        X = np.random.default_rng(3).uniform(-1, 1, (4096, 2))
+        tracemalloc.start()
+        try:
+            forward(p, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 4096 * 64 * 8
 
 
 class TestGradCheck:
@@ -374,6 +417,19 @@ class TestGradCheck:
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, (20, 2))
         T = rng.standard_normal((20, 1))
+        assert grad_check(p, X, make_signal_task(X, T)) <= 1e-5
+
+    # Three hidden layers: backward's gradients come through the rebuilt
+    # layer 0, the central differences through forwards that drop it.
+    @pytest.mark.parametrize("act, outputs", [
+        (BW3, 1), (Activation("relu"), 1), (Activation("sine", 2.0), 1),
+        (Activation("gaussian", 2.0), 1), (BW3, 3),
+    ], ids=["bwrelu", "relu", "sine", "gaussian", "bwrelu-3-outputs"])
+    def test_three_hidden_layers(self, act, outputs):
+        p = init_network(mlp_specs([2, 6, 6, 6, outputs], act), 0)
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-1, 1, (20, 2))
+        T = rng.standard_normal((20, outputs))
         assert grad_check(p, X, make_signal_task(X, T)) <= 1e-5
 
     def test_relu_away_from_kinks(self):

@@ -133,6 +133,18 @@ class TestAdamStep:
         with pytest.raises(NumericalError):
             adam_step(p, bad, state, lr=1e-3)
 
+    def test_overflowing_second_moment_aborts(self):
+        # A finite gradient of 1e200 squares past the float64 range; warnings
+        # are errors here, so this also checks that none is raised.
+        p = init_network(mlp_specs([1, 2, 1], Activation("relu")), 0)
+        state = init_adam_state(p)
+        huge = Gradients(
+            weights=[np.full_like(w, 1e200) for w in p.weights],
+            biases=[np.zeros_like(b) for b in p.biases],
+        )
+        with pytest.raises(NumericalError, match="second moment"):
+            adam_step(p, huge, state, lr=1e-3)
+
     def test_shapes_and_finiteness_preserved(self):
         rng = np.random.default_rng(2)
         p = init_network(mlp_specs([2, 8, 1], Activation("bwrelu", 2.0)), 3)
