@@ -226,6 +226,19 @@ def expand_to_relus(w, b, v, c):
     ]
 
 
+# Largest level count whose top frequency pi * 2^(levels - 1) is finite.
+MAX_PE_LEVELS = 1023
+
+
+def check_pe_levels(levels):
+    """Raise ConfigurationError unless ``positional_encoding`` accepts ``levels``."""
+    if not 1 <= levels <= MAX_PE_LEVELS:
+        raise ConfigurationError(
+            f"positional-encoding levels must be in [1, {MAX_PE_LEVELS}], "
+            f"got {levels}"
+        )
+
+
 def positional_encoding(x, levels):
     """Fourier features (sin, cos) of 2^j * pi * x for j = 0..levels-1.
 
@@ -233,8 +246,7 @@ def positional_encoding(x, levels):
     shape (n, 2 * d * levels), ordered dimension-major with (sin, cos)
     pairs per frequency level.
     """
-    if levels < 1:
-        raise ConfigurationError(f"levels must be >= 1, got {levels}")
+    check_pe_levels(levels)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"expected an (n, d) batch, got shape {x.shape}")

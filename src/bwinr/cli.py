@@ -11,8 +11,8 @@ vnorm-sweep   scale sweep: PSNR vs total variation norm at equal loss
 Defaults follow the per-task hyperparameter tables (see README). Exit
 codes, set by each error class in ``bwinr.errors``: 0 success, 1
 configuration or other package error, 2 I/O error, 3 numerical failure.
-All randomness sits behind --seed; repeated runs write bitwise-identical
-CSVs.
+All randomness sits behind --seed; repeated runs at one BLAS thread count
+write bitwise-identical CSVs.
 """
 
 import argparse

@@ -12,14 +12,15 @@ much better than plain ReLU ones on low-dimensional fits:
 * ``build_dyadic_gram``: the Gram of the L2-normalized dyadic wavelet
   system with shifts k = 0..2^j - 1 at scale j. It does not tile
   [-1, 1]: at scale j >= 1 the supports end at -1/3 + 4/(3 * 2^j).
-  Wavelets at different scales are exactly orthogonal
-  and same-scale overlaps decay fast, so the matrix is a small
-  perturbation of (1/6) I and its condition number stays O(1).
+  The linear-spline wavelet is semi-orthogonal (Chui & Wang 1992), so
+  wavelets at different scales are exactly orthogonal and the matrix is
+  block diagonal by scale. Each block is the same symmetric band:
+  1/6 on the diagonal, 5/162 at shift distance 1, -1/324 at distance 2
+  and 0 beyond, so the matrix is a small perturbation of (1/6) I and its
+  condition number stays O(1).
 
-Entries of the dyadic Gram are integrated exactly from one table of
-overlap integrals per scale gap, computed once per process: both factors
-are linear on every cell of the table's grid, so per-cell Simpson
-quadrature is exact. The eigensolve is most of a spectrum's cost.
+Both Grams are filled from their closed forms, each entry rounded once,
+so the eigensolve is most of a spectrum's cost.
 
 The variation norm measures the regularity of the learned function
 directly from the weights: each wavelet neuron contributes
@@ -29,13 +30,11 @@ shallow ones, where hidden layers past the first use the identity-input
 convention (unit input norm per neuron).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import psi
 from .errors import (
     ConfigurationError,
     InvalidInputError,
@@ -124,24 +123,16 @@ def build_relu_gram(K):
     """Gram of ReLU neurons with biases -1 + 2(j-1)/K over [-1, 1].
 
     Entry (i, j) is the integral of (x - b_i)(x - b_j) from max(b_i, b_j)
-    to 1, evaluated in closed form.
+    to 1: 4 (K - hi)^2 (2K + hi - 3 lo) / (3 K^3) with hi = max(i, j) and
+    lo = min(i, j), counting from 0. Numerator and denominator are integers
+    below 2^53, so each entry is the exact integral rounded once.
     """
     check_relu_gram_size(K)
-    b = -1.0 + 2.0 * np.arange(K) / K
-    s = np.add.outer(b, b)
-    p = np.multiply.outer(b, b)
-    # Entry (i, j) is F(1) - F(max(b_i, b_j)), F(x) = x^3/3 - s x^2/2 + p x.
-    # b ascends, so max(b_i, b_j) = b_j on and above the diagonal; s and p
-    # are symmetric bitwise (IEEE + and * commute), so mirroring is exact.
-    gram = s * b**2
-    gram /= 2.0
-    np.subtract(b**3 / 3.0, gram, out=gram)
-    s /= 2.0
-    np.subtract(1.0 / 3.0, s, out=s)
-    s += p
-    p *= b
-    gram += p
-    np.subtract(s, gram, out=gram)
+    n = np.arange(K, dtype=float)
+    # On and above the diagonal hi = j (the column) and lo = i (the row).
+    gram = (2.0 * K + n) - 3.0 * n[:, None]
+    gram *= 4.0 * (K - n) ** 2
+    gram /= 3.0 * K**3
     np.copyto(gram, gram.T, where=np.tri(K, k=-1, dtype=bool))
     eigs = sym_eigvals(gram)
     return GramReport(
@@ -162,28 +153,6 @@ def dyadic_system(J):
     return [(j, k) for j in range(J) for k in range(2**j)]
 
 
-@functools.lru_cache(maxsize=None)
-def _overlap_table(d):
-    """Shifts m and entries (2/3) 2^(d/2) I(d, m) of scale gap d, read-only.
-
-    I(d, m) = integral of psi(s) psi(2^d s - m) ds. Its second factor lives
-    on the six cells [i, i + 1] * h, i = 2m..2m+5, of width h = 2^-(d+1).
-    psi's kinks sit at half-integers, which are multiples of h, so both
-    factors are linear on every cell and Simpson's rule on each cell is
-    exact. The d = 0 blocks are symmetric, so that table keeps m >= 0.
-    """
-    m = np.arange(-2 if d else 0, 3 * 2**d)
-    h = 0.5 ** (d + 1)
-    # Ends and midpoints of the six cells: s = (2m + t/2) h, t = 0..12.
-    s = (2.0 * m[:, None] + 0.5 * np.arange(13)) * h
-    prod = psi(s) * psi(2**d * s - m[:, None])
-    table = (2.0 / 3.0) * 2.0 ** (d / 2.0) * (h / 6.0 * np.sum(
-        prod[:, 0:12:2] + 4.0 * prod[:, 1:12:2] + prod[:, 2:13:2], axis=1
-    ))
-    m.flags.writeable = table.flags.writeable = False
-    return m, table
-
-
 def check_dyadic_levels(J):
     """Raise ConfigurationError unless ``build_dyadic_gram`` accepts ``J``."""
     if not 1 <= J <= 10:
@@ -195,20 +164,19 @@ def build_dyadic_gram(J):
 
     Only scale 0 spans [-1, 1]; see ``dyadic_system``. Substituting
     s = 2^ja * 1.5 (x + 1) - ka turns entry (ja, ka), (jb, kb) into
-    (2/3) 2^(d/2) I(d, m) with d = jb - ja and m = kb - 2^d ka, which is
-    nonzero only for m = -2..3 * 2^d - 1.
+    (2/3) 2^(d/2) I(d, m) with d = jb - ja and m = kb - 2^d ka, where
+    I(d, m) is the integral of psi(s) psi(2^d s - m). It vanishes for
+    every d >= 1, and I(0, m) is 1/4, 5/108 and -1/216 at |m| = 0, 1, 2
+    and 0 beyond.
     """
     check_dyadic_levels(J)
     K = 2**J - 1
+    scale = np.repeat(np.arange(J), 2 ** np.arange(J))
     gram = np.zeros((K, K))
-    for d in range(J):
-        m, table = _overlap_table(d)
-        # Row a of kb: shifts at scale ja + d met by wavelet a = (ja, ka).
-        ja = np.repeat(np.arange(J - d), 2 ** np.arange(J - d))
-        kb = 2**d * (np.arange(ja.size) + 1 - 2**ja)[:, None] + m
-        a, i = np.nonzero((kb >= 0) & (kb < 2 ** (ja + d)[:, None]))
-        b = 2 ** (ja[a] + d) - 1 + kb[a, i]
-        gram[a, b] = gram[b, a] = table[i]
+    np.fill_diagonal(gram, 1 / 6)
+    for gap, entry in ((1, 5 / 162), (2, -1 / 324)):
+        i = np.flatnonzero(scale[:-gap] == scale[gap:])
+        gram[i, i + gap] = gram[i + gap, i] = entry
     eigs = sym_eigvals(gram)
     return GramReport(
         matrix=gram,

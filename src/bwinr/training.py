@@ -9,8 +9,9 @@ Weight decay enters as an extra 2*lambda*w gradient on weight matrices
 only; biases are never regularized.
 
 The learning rate follows eta(t) = eta0 * r^(t/T). Runs are bit-for-bit
-reproducible from the seed. The log's CSV has one column per ``LogEntry``
-field; ``format_table``/``parse_table`` are the package's one CSV codec.
+reproducible from the seed at a fixed BLAS thread count. The log's CSV
+has one column per ``LogEntry`` field; ``format_table``/``parse_table``
+are the package's one CSV codec.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .activations import Activation, positional_encoding
+from .activations import Activation, check_pe_levels, positional_encoding
 from .diagnostics import feature_gram_condition, psnr, variation_norm_deep
 from .errors import ConfigurationError, DivergenceError, NumericalError, ShapeError
 from .network import NetworkParams, backward, forward, init_network, mlp_specs
@@ -62,8 +63,8 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.pe_levels is not None and self.pe_levels < 1:
-            raise ConfigurationError(f"pe_levels must be >= 1, got {self.pe_levels}")
+        if self.pe_levels is not None:
+            check_pe_levels(self.pe_levels)
         if self.log_every is not None and self.log_every < 1:
             raise ConfigurationError(f"log_every must be >= 1, got {self.log_every}")
         if self.target_loss is not None and not self.target_loss >= 0:

@@ -390,3 +390,10 @@ class TestPositionalEncoding:
     def test_bad_levels(self):
         with pytest.raises(ConfigurationError):
             positional_encoding(np.zeros((1, 1)), 0)
+
+    def test_levels_bounded_by_a_finite_top_frequency(self):
+        # pi * 2^(levels - 1) is finite up to 1023 levels and overflows at 1024.
+        x = np.linspace(-1.0, 1.0, 5)[:, None]
+        assert np.isfinite(positional_encoding(x, 1023)).all()
+        with pytest.raises(ConfigurationError, match=r"\[1, 1023\], got 1024"):
+            positional_encoding(x, 1024)

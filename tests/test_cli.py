@@ -85,6 +85,45 @@ def test_module_entry_point_exits_with_mains_code(tmp_path):
     assert "configuration error" in bad.stderr
 
 
+def test_overflowing_pe_levels_is_one_config_error_line(tmp_path):
+    # pi * 2^(levels - 1) overflows at 1024 levels: a rejected flag (exit 1,
+    # nothing made), not numpy warnings and a divergence (exit 3).
+    src = Path(bwinr.cli.__file__).parents[1]
+    out = tmp_path / "o"
+    res = subprocess.run(
+        [sys.executable, "-m", "bwinr.cli", "fit", "--image", "scene:8",
+         "--act", "relu-pe", "--pe-levels", "1024", "--epochs", "1",
+         "--width", "4", "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("configuration error: ")
+    assert res.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["conditioning", "--j-max", "6", "--k-list", "8,64"],
+    ["ct", "--image", "shepp-logan:16", "--angles", "4", "--width", "8",
+     "--epochs", "2", "--log-every", "1", "--track-cond", "--seed", "3"],
+], ids=["conditioning", "ct-track-cond"])
+def test_seeded_outputs_repeat_in_fresh_processes(tmp_path, command):
+    # Criterion 11 repeats a run in one process, so it cannot see state that
+    # lives as long as a process; the BLAS thread count is pinned because
+    # the promise holds only at a fixed count.
+    src = Path(bwinr.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    outputs = []
+    for rep in ("a", "b"):
+        out = tmp_path / rep
+        subprocess.run([sys.executable, "-m", "bwinr.cli", *command, "--out", str(out)],
+                       capture_output=True, check=True, env=env)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 class TestAssets:
     def test_shepp_logan_range(self):
         img = shepp_logan(64)
@@ -382,6 +421,7 @@ class TestExitCodes:
         ["superres", "--act", "relu-pe", "--c", "5"],
         ["fit", "--act", "bwrelu", "--pe-levels", "3"],
         ["fit", "--act", "relu-pe", "--pe-levels", "0"],
+        ["fit", "--act", "relu-pe", "--pe-levels", "1024"],
         ["fit", "--log-every", "0"],
         ["ct", "--lr", "-1"],
         ["vnorm-sweep", "--act", "bwrelu"],
@@ -403,7 +443,8 @@ class TestExitCodes:
         ["ct", "--seed", "-1"],
         ["superres", "--seed", "-1"],
         ["vnorm-sweep", "--seed", "-1"],
-    ], ids=["relu-c", "relu-pe-c", "bwrelu-pe-levels", "pe-levels0", "log-every0",
+    ], ids=["relu-c", "relu-pe-c", "bwrelu-pe-levels", "pe-levels0",
+            "pe-levels1024", "log-every0",
             "ct-lr", "sweep-act", "sweep-c-not-c-list", "sweep-pe-levels",
             "sweep-track-cond", "sweep-sigrep-angles", "sweep-ct-factor",
             "lr-inf", "wd-nan", "wd-inf", "c-inf", "sine-c-inf", "gauss-c-inf",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from bwinr import (
     variation_norm_deep,
     variation_norm_shallow,
 )
-from bwinr.diagnostics import _overlap_table
 from bwinr.linalg import COND_FLOOR_REL
 
 # Same-scale wavelet overlap integrals (2/3) * int psi(t) psi(t - k) dt.
 C1 = 0.030864
 C2 = -0.0030864
 GERSH_RADIUS = 2 * (abs(C1) + abs(C2))
+# Unit roundoff of float64; the frozen float forms' error bounds count it.
+U = 2.0**-53
 
 
 class TestVariationNormShallow:
@@ -166,8 +168,8 @@ class TestReluGram:
 
     @staticmethod
     def _antideriv_gram(K):
-        # Frozen copy of the closed form evaluated on the full max(b_i, b_j)
-        # matrix, which the upper-triangle build must match bit for bit.
+        # Frozen copy of the float closed form evaluated on the full
+        # max(b_i, b_j) matrix, the form the build computed before.
         b = -1.0 + 2.0 * np.arange(K) / K
         s = np.add.outer(b, b)
         p = np.multiply.outer(b, b)
@@ -178,11 +180,47 @@ class TestReluGram:
 
         return antideriv(1.0) - antideriv(m)
 
+    @staticmethod
+    def _exact_full_matrix_form(K):
+        # The same form F(1) - F(max(b_i, b_j)) in integers: with
+        # B = K b = 2i - K, 3 K^3 F(X / K) = X^3 - 3 (S/2) X^2 + 3 P X for
+        # S = B_i + B_j (even) and P = B_i B_j. Both operands of the one
+        # division are exact in float64, so the quotient is rounded once.
+        B = 2 * np.arange(K, dtype=np.int64) - K
+        half_s = np.add.outer(B, B) // 2
+        p = np.multiply.outer(B, B)
+
+        def scaled(x):
+            return x**3 - 3 * half_s * x**2 + 3 * p * x
+
+        return (scaled(K) - scaled(np.maximum.outer(B, B))) / (3 * K**3)
+
     @pytest.mark.parametrize("K", [2, 3, 8, 255, 256, 300, 512])
     def test_bitwise_equal_to_full_matrix_form(self, K):
         gram = build_relu_gram(K).matrix
-        expected = self._antideriv_gram(K)
+        expected = self._exact_full_matrix_form(K)
         assert np.array_equal(gram.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 17, 64])
+    def test_bitwise_equal_to_exact_integrals(self, K):
+        # With u = 1 - max(b_i, b_j) and e = |b_i - b_j| the integral is
+        # u^3/3 + e u^2/2, here in rationals and rounded once by float().
+        def integral(bi, bj):
+            u, e = 1 - max(bi, bj), abs(bi - bj)
+            return float(u**3 / 3 + e * u**2 / 2)
+
+        b = [Fraction(2 * i, K) - 1 for i in range(K)]
+        expected = np.array([[integral(bi, bj) for bj in b] for bi in b])
+        gram = build_relu_gram(K).matrix
+        assert np.array_equal(gram.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 255, 256, 300, 512])
+    def test_float_form_within_its_rounding(self, K):
+        # First-order rounding bound of the frozen float form: biases off
+        # by 3U, times sensitivity 2 per bias (12U); 4U in F(1), 7.7U in
+        # F(max), 2.7U in the difference; 3U through s and p.
+        gap = np.abs(build_relu_gram(K).matrix - self._antideriv_gram(K)).max()
+        assert gap <= 30 * U
 
 
 class TestDyadicGram:
@@ -254,8 +292,36 @@ class TestDyadicGram:
         assert max(kappas) <= 2.38
 
 
+# Six times psi's atom coefficients, integers.
+ATOMS6 = np.array([1, -8, 23, -32, 23, -8, 1])
+
+
+def _psi_scaled(n, q):
+    """6 * 2^q * psi(n / 2^q) for integer arrays n, exactly in int64."""
+    return np.maximum(n[..., None] - np.arange(7) * 2 ** (q - 1), 0) @ ATOMS6
+
+
+def _exact_overlaps(d):
+    """Shifts m and I(d, m) = integral of psi(s) psi(2^d s - m) ds, as Fractions.
+
+    Simpson's rule on the six cells of width h = 2^-(d+1) that carry the
+    second factor is exact (both factors are linear on every cell), and
+    the cell ends and midpoints s = (4m + t) / 2^(d+2), t = 0..12, are
+    dyadic, so the weighted sum is one integer.
+    """
+    q = d + 2
+    m = np.arange(-2 if d else 0, 3 * 2**d)
+    t = np.arange(13)
+    first = _psi_scaled(4 * m[:, None] + t, q)
+    second = _psi_scaled(np.broadcast_to(2**d * t, first.shape), q)
+    weights = np.array([1] + [4, 2] * 5 + [4, 1])
+    total = (first * second) @ weights
+    scale = 6 * 2 ** (d + 1) * 36 * 4**q  # h/6 times the two 6 * 2^q factors
+    return m, [Fraction(int(v), scale) for v in total]
+
+
 class TestDyadicGramTable:
-    """The overlap-table Gram against the pair loop it replaced."""
+    """The closed-form Gram against the quadrature builds it replaced."""
 
     @staticmethod
     def _pair_loop_gram(J):
@@ -295,33 +361,67 @@ class TestDyadicGramTable:
         return gram
 
     @staticmethod
-    def _scale_loop_gram(J):
-        # Frozen copy of the table build with a fresh table per call and
-        # one pass per scale pair (d, ja), which the cached one-pass-per-gap
-        # build must match bit for bit.
+    def _simpson_table(d):
+        # Frozen copy of the float overlap table: entries (2/3) 2^(d/2) I(d, m)
+        # by per-cell Simpson on psi's float values.
+        m = np.arange(-2 if d else 0, 3 * 2**d)
+        h = 0.5 ** (d + 1)
+        s = (2.0 * m[:, None] + 0.5 * np.arange(13)) * h
+        prod = psi(s) * psi(2**d * s - m[:, None])
+        return m, (2.0 / 3.0) * 2.0 ** (d / 2.0) * (h / 6.0 * np.sum(
+            prod[:, 0:12:2] + 4.0 * prod[:, 1:12:2] + prod[:, 2:13:2], axis=1
+        ))
+
+    @staticmethod
+    def _exact_table(d):
+        # (2/3) I(d, m) rounded once; I(d, m) = 0 for d >= 1
+        # (test_overlap_integrals), so the irrational 2^(d/2) scales only zeros.
+        m, overlaps = _exact_overlaps(d)
+        values = np.array([float(Fraction(2, 3) * v) for v in overlaps])
+        return m, values * 2.0 ** (d / 2.0)
+
+    @staticmethod
+    def _scale_loop_gram(J, table):
+        # Frozen copy of the table build, one pass per scale pair (d, ja):
+        # entry (ja, ka), (jb, kb) is table entry m = kb - 2^d ka of gap d.
         gram = np.zeros((2**J - 1, 2**J - 1))
         for d in range(J):
-            m = np.arange(-2 if d else 0, 3 * 2**d)
-            h = 0.5 ** (d + 1)
-            s = (2.0 * m[:, None] + 0.5 * np.arange(13)) * h
-            prod = psi(s) * psi(2**d * s - m[:, None])
-            table = (2.0 / 3.0) * 2.0 ** (d / 2.0) * (h / 6.0 * np.sum(
-                prod[:, 0:12:2] + 4.0 * prod[:, 1:12:2] + prod[:, 2:13:2], axis=1
-            ))
+            m, values = table(d)
             for ja in range(J - d):
                 jb = ja + d
                 kb = 2**d * np.arange(2**ja)[:, None] + m
                 ka, i = np.nonzero((kb >= 0) & (kb < 2**jb))
                 a = 2**ja - 1 + ka
                 b = 2**jb - 1 + kb[ka, i]
-                gram[a, b] = gram[b, a] = table[i]
+                gram[a, b] = gram[b, a] = values[i]
         return gram
+
+    def test_overlap_integrals(self):
+        # Semi-orthogonality: wavelets at different scales are orthogonal.
+        m, overlaps = _exact_overlaps(0)
+        assert dict(zip(m.tolist(), overlaps)) == {
+            0: Fraction(1, 4), 1: Fraction(5, 108), 2: Fraction(-1, 216)
+        }
+        for d in range(1, 10):
+            assert not any(_exact_overlaps(d)[1])
 
     @pytest.mark.parametrize("J", range(1, 11))
     def test_bitwise_equal_to_scale_loop(self, J):
+        # The table build with exact tables, each entry rounded once.
         gram = build_dyadic_gram(J).matrix
-        expected = self._scale_loop_gram(J)
+        expected = self._scale_loop_gram(J, self._exact_table)
         assert np.array_equal(gram.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("J", range(1, 11))
+    def test_float_tables_within_their_rounding(self, J):
+        # First-order rounding bound of the frozen float tables: psi's float
+        # values are off by at most 31U (segment tables plus one multiply-add
+        # at the exact grid points), a product of two by 2 * (5/6) * 31U + U;
+        # Simpson's weights and prefactor carry that to at most 4 * 52.4U,
+        # and summation and the final scalings add 20.3U.
+        gram = build_dyadic_gram(J).matrix
+        gap = np.abs(gram - self._scale_loop_gram(J, self._simpson_table)).max()
+        assert gap <= 230 * U
 
     @pytest.mark.parametrize("J", range(1, 10))
     def test_leading_block_of_next_level(self, J):
@@ -330,15 +430,6 @@ class TestDyadicGramTable:
         small = build_dyadic_gram(J).matrix
         large = build_dyadic_gram(J + 1).matrix
         assert np.array_equal(small.view(np.int64), large[:K, :K].view(np.int64))
-
-    def test_cached_tables_are_read_only(self):
-        build_dyadic_gram(3)
-        for d in range(3):
-            m, table = _overlap_table(d)
-            with pytest.raises(ValueError):
-                table[0] = 1.0
-            with pytest.raises(ValueError):
-                m[0] = 0
 
     def test_builds_return_separate_matrices(self):
         first = build_dyadic_gram(4)

@@ -290,6 +290,11 @@ class TestTrainLoop:
             with pytest.raises(ConfigurationError):
                 small_cfg(**bad)
 
+    def test_pe_levels_whose_top_frequency_overflows(self):
+        assert small_cfg(pe_levels=1023).pe_levels == 1023
+        with pytest.raises(ConfigurationError, match="got 1024"):
+            small_cfg(pe_levels=1024)
+
 
 def _count_forwards(monkeypatch):
     """Count calls to ``network.forward`` through every binding in the package.
