@@ -29,8 +29,6 @@ from .diagnostics import (
     build_dyadic_gram,
     build_relu_gram,
     check_dyadic_levels,
-    check_relu_gram_size,
-    dyadic_system,
     variation_norm_deep,
 )
 from .errors import (
@@ -203,59 +201,43 @@ def cmd_train(args):
     return 0
 
 
+def _spectrum(report):
+    """lambda_min, lambda_max, kappa and floored of one Gram report."""
+    eigs, cond = report.eigenvalues, report.condition
+    return [float(eigs[0]), float(eigs[-1]), cond.value, cond.floored]
+
+
 def cmd_conditioning(args):
+    """Write the dyadic and ReLU Gram spectra.
+
+    ``check_dyadic_levels`` bounds --j-max and ``build_relu_gram`` bounds
+    each K; every Gram is built before --out is made, so a rejected flag
+    writes nothing.
+    """
     check_dyadic_levels(args.j_max)
     if not args.k_list or len(set(args.k_list)) < len(args.k_list):
         raise ConfigurationError(f"--k-list needs one or more distinct K, got {args.k_list}")
-    for K in args.k_list:
-        check_relu_gram_size(K)
+    dyadic = [build_dyadic_gram(J) for J in range(1, args.j_max + 1)]
+    relu = [build_relu_gram(K) for K in args.k_list]
     out = _output_dir(args.out)
-    dyadic_rows = []
-    for J in range(1, args.j_max + 1):
-        report = build_dyadic_gram(J)
-        scale, shift = np.array(dyadic_system(J)).T
-        gram = report.matrix
-        # Boolean masks select in row-major order, as a loop over (a, b) would.
-        same = scale[:, None] == scale[None, :]
-        gap = np.abs(shift[:, None] - shift[None, :])
-        same1 = gram[same & (gap == 1)]
-        same2 = gram[same & (gap == 2)]
-        cross = np.abs(gram[~same])
-        dyadic_rows.append([
-            J, len(scale),
-            float(report.eigenvalues[0]), float(report.eigenvalues[-1]),
-            report.condition.value, report.condition.floored,
-            float(gram[0, 0]),
-            float(np.mean(same1)) if same1.size else None,
-            float(np.mean(same2)) if same2.size else None,
-            float(np.max(cross)) if cross.size else None,
-        ])
     write_table(
         out / "dyadic_gram.csv",
-        ["J", "K", "lambda_min", "lambda_max", "kappa", "floored",
-         "diag", "c1", "c2", "cross_scale_max"],
-        dyadic_rows,
+        ["J", "K", "lambda_min", "lambda_max", "kappa", "floored", "diag"],
+        [[J, len(r.matrix), *_spectrum(r), float(r.matrix[0, 0])]
+         for J, r in enumerate(dyadic, 1)],
     )
-
-    relu_rows = []
-    for K in args.k_list:
-        report = build_relu_gram(K)
-        relu_rows.append([
-            K,
-            float(report.eigenvalues[0]), float(report.eigenvalues[-1]),
-            report.condition.value, report.condition.floored,
-        ])
     write_table(
         out / "relu_gram.csv",
         ["K", "lambda_min", "lambda_max", "kappa", "floored"],
-        relu_rows,
+        [[K, *_spectrum(r)] for K, r in zip(args.k_list, relu)],
     )
-    if len(relu_rows) >= 2:
-        logs = np.log([[r[0], r[1], r[3]] for r in relu_rows])
+    if len(relu) >= 2:
+        logs = np.log([[K, r.eigenvalues[0], r.condition.value]
+                       for K, r in zip(args.k_list, relu)])
         lam_slope, kappa_slope = np.polyfit(logs[:, 0], logs[:, 1:], 1)[0]
         print(f"relu gram: log-log lambda_min slope {lam_slope:.3f}, "
               f"kappa slope {kappa_slope:.3f} over K={args.k_list}")
-    print(f"dyadic gram: max kappa {max(r[4] for r in dyadic_rows):.4f} "
+    print(f"dyadic gram: max kappa {max(r.condition.value for r in dyadic):.4f} "
           f"for J<={args.j_max} -> {out}")
     return 0
 
@@ -284,8 +266,9 @@ def run_vnorm_sweep(task, base_cfg, c_list, target_loss):
 def cmd_vnorm_sweep(args):
     if args.target_loss is None:
         raise ConfigurationError("vnorm-sweep requires --target-loss")
-    if not args.c_list:
-        raise ConfigurationError("--c-list needs at least one scale")
+    if not args.c_list or len(set(args.c_list)) < len(args.c_list):
+        raise ConfigurationError(
+            f"--c-list needs one or more distinct scales, got {args.c_list}")
     for c in args.c_list:
         Activation("bwrelu", c)  # rejects a non-positive scale before training
     cfg, task = _config_and_task(args)

@@ -20,7 +20,10 @@ much better than plain ReLU ones on low-dimensional fits:
   condition number stays O(1).
 
 Both Grams are filled from their closed forms, each entry rounded once,
-so the eigensolve is most of a spectrum's cost.
+so the eigensolve is most of a spectrum's cost. Each builder checks its
+own size: ``build_relu_gram`` takes K in [2, 512] and
+``check_dyadic_levels``, which ``build_dyadic_gram`` calls, J in [1, 10];
+anything else is a ConfigurationError.
 
 The variation norm measures the regularity of the learned function
 directly from the weights: each wavelet neuron contributes
@@ -113,21 +116,17 @@ def variation_norm_deep(params):
     return VariationReport(layers=tuple(layers), total=sum(layers))
 
 
-def check_relu_gram_size(K):
-    """Raise ConfigurationError unless ``build_relu_gram`` accepts ``K``."""
-    if not 2 <= K <= 512:
-        raise ConfigurationError(f"K must be in [2, 512], got {K}")
-
-
 def build_relu_gram(K):
     """Gram of ReLU neurons with biases -1 + 2(j-1)/K over [-1, 1].
 
     Entry (i, j) is the integral of (x - b_i)(x - b_j) from max(b_i, b_j)
     to 1: 4 (K - hi)^2 (2K + hi - 3 lo) / (3 K^3) with hi = max(i, j) and
     lo = min(i, j), counting from 0. Numerator and denominator are integers
-    below 2^53, so each entry is the exact integral rounded once.
+    below 2^53, so each entry is the exact integral rounded once. A K
+    outside [2, 512] is a ConfigurationError, raised before any work.
     """
-    check_relu_gram_size(K)
+    if not 2 <= K <= 512:
+        raise ConfigurationError(f"K must be in [2, 512], got {K}")
     n = np.arange(K, dtype=float)
     # On and above the diagonal hi = j (the column) and lo = i (the row).
     gram = (2.0 * K + n) - 3.0 * n[:, None]

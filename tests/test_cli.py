@@ -27,7 +27,7 @@ from bwinr.cli import (
     main,
     read_table,
 )
-from bwinr.diagnostics import feature_gram_condition
+from bwinr.diagnostics import build_dyadic_gram, build_relu_gram, feature_gram_condition
 from bwinr.network import forward, load_checkpoint
 from bwinr.training import TrainLog, prepare_inputs, train
 
@@ -299,6 +299,25 @@ class TestConditioning:
         ks = [row[header2.index("K")] for row in rows2]
         assert ks == [8.0, 16.0, 32.0]
 
+    def test_rows_are_the_builders_reports(self, tmp_path):
+        out = tmp_path / "cond"
+        run(["conditioning", "--j-max", "4", "--k-list", "8,16,32", "--out", str(out)])
+        spectrum = ["lambda_min", "lambda_max", "kappa", "floored"]
+        for name, key, build, header in [
+            ("dyadic_gram.csv", "J", build_dyadic_gram, ["J", "K", *spectrum, "diag"]),
+            ("relu_gram.csv", "K", build_relu_gram, ["K", *spectrum]),
+        ]:
+            got_header, rows = read_table(out / name)
+            assert got_header == header
+            for row in rows:
+                cells = dict(zip(header, row))
+                report = build(int(cells[key]))
+                expected = [report.eigenvalues[0], report.eigenvalues[-1],
+                            report.condition.value, float(report.condition.floored)]
+                got = np.array([cells[col] for col in spectrum])
+                assert got.tobytes() == np.array(expected).tobytes()
+            assert len(rows) == {"J": 4, "K": 3}[key]
+
     def test_prints_lambda_min_and_kappa_slopes(self, tmp_path, capsys):
         out = tmp_path / "cond"
         run(["conditioning", "--j-max", "2", "--k-list", "8,16,32", "--out", str(out)])
@@ -401,7 +420,8 @@ class TestExitCodes:
         ["--c-list", ",", "--target-loss", "1e-3"],
         ["--c-list", "1,-2", "--target-loss", "1e-3"],
         ["--c-list", "1,3"],
-    ], ids=["c-empty", "c-negative", "no-target-loss"])
+        ["--c-list", "1,3,1.0", "--target-loss", "1e-3"],
+    ], ids=["c-empty", "c-negative", "no-target-loss", "c-repeated"])
     def test_vnorm_sweep_flags_checked_before_task(
         self, tmp_path, capsys, monkeypatch, flags
     ):

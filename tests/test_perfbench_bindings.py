@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` wraps every function its ``FUNCTIONS`` table
 names, in each ``bwinr`` module that binds it, and wraps
 ``RadonTransform.__init__``; ``perfbench/child.py`` times the ``bwinr.cli``
-attributes its ``COMPUTE_CALLS`` names. Both files are read here, not
-changed, so a rename in the package fails these tests instead of a
+attributes its ``COMPUTE_CALLS`` names; ``perfbench/checks.py`` reads back
+the CSVs of ``conditioning``. These files are read here, not changed, so a
+rename or a schema change in the package fails these tests instead of a
 benchmark run.
 """
 
@@ -24,13 +25,17 @@ import bwinr.training
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing_functions():
+def _perfbench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", PERFBENCH / "tracing.py"
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.FUNCTIONS
+    return module
+
+
+def _tracing_functions():
+    return _perfbench_module("tracing").FUNCTIONS
 
 
 def _compute_calls():
@@ -74,3 +79,10 @@ def test_compute_calls_are_the_library_functions():
     assert named == set(library)
     for name, fn in library.items():
         assert getattr(bwinr.cli, name) is fn
+
+
+def test_default_conditioning_passes_the_benchmarks_output_check(tmp_path):
+    checks = _perfbench_module("checks")
+    assert bwinr.cli.main(["conditioning", "--out", str(tmp_path)]) == 0
+    dyadic, relu = checks.check_conditioning(tmp_path)
+    assert len(dyadic) == len(checks.DYADIC_J) and len(relu) == len(checks.RELU_K)
