@@ -19,7 +19,6 @@ import argparse
 import re
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -28,15 +27,14 @@ from .activations import Activation
 from .diagnostics import (
     build_dyadic_gram,
     build_relu_gram,
-    check_dyadic_levels,
     variation_norm_deep,
 )
 from .errors import (
     BwinrError,
     ConfigurationError,
     DivergenceError,
-    ImageIOError,
     ShapeError,
+    make_dir,
     read_file,
     write_file,
 )
@@ -137,15 +135,6 @@ def _config_and_task(args):
     return cfg, make_task(args.task, resolve_image(args.image), **operator)
 
 
-def _output_dir(path):
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ImageIOError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    return out
-
-
 def write_table(path, header, rows):
     """Write a CSV by ``training.format_table``."""
     write_file(path, format_table(header, rows).encode("ascii"))
@@ -165,7 +154,7 @@ def cmd_train(args):
     """fit, ct and superres: train one net on ``args.task`` and write its
     outputs; a diverged run writes only its partial ``log.csv``."""
     cfg, task = _config_and_task(args)
-    out = _output_dir(args.out)
+    out = make_dir(args.out)
     try:
         params, log = train(cfg, task)
     except DivergenceError as exc:
@@ -210,16 +199,15 @@ def _spectrum(report):
 def cmd_conditioning(args):
     """Write the dyadic and ReLU Gram spectra.
 
-    ``check_dyadic_levels`` bounds --j-max and ``build_relu_gram`` bounds
-    each K; every Gram is built before --out is made, so a rejected flag
-    writes nothing.
+    The builders check their own sizes: ``build_dyadic_gram`` bounds J and
+    ``build_relu_gram`` each K. --j-max is built first, so a bad one is
+    rejected before any other work; every Gram is built before --out is
+    made, so a rejected flag writes nothing.
     """
-    check_dyadic_levels(args.j_max)
-    if not args.k_list or len(set(args.k_list)) < len(args.k_list):
-        raise ConfigurationError(f"--k-list needs one or more distinct K, got {args.k_list}")
-    dyadic = [build_dyadic_gram(J) for J in range(1, args.j_max + 1)]
+    top = build_dyadic_gram(args.j_max)
+    dyadic = [build_dyadic_gram(J) for J in range(1, args.j_max)] + [top]
     relu = [build_relu_gram(K) for K in args.k_list]
-    out = _output_dir(args.out)
+    out = make_dir(args.out)
     write_table(
         out / "dyadic_gram.csv",
         ["J", "K", "lambda_min", "lambda_max", "kappa", "floored", "diag"],
@@ -266,13 +254,10 @@ def run_vnorm_sweep(task, base_cfg, c_list, target_loss):
 def cmd_vnorm_sweep(args):
     if args.target_loss is None:
         raise ConfigurationError("vnorm-sweep requires --target-loss")
-    if not args.c_list or len(set(args.c_list)) < len(args.c_list):
-        raise ConfigurationError(
-            f"--c-list needs one or more distinct scales, got {args.c_list}")
     for c in args.c_list:
         Activation("bwrelu", c)  # rejects a non-positive scale before training
     cfg, task = _config_and_task(args)
-    out = _output_dir(args.out)
+    out = make_dir(args.out)
     rows = run_vnorm_sweep(task, cfg, args.c_list, args.target_loss)
     write_table(
         out / "sweep.csv",
@@ -316,12 +301,18 @@ def _add_training(p, with_act=True):
     p.add_argument("--out", default="out")
 
 
-def _int_list(text):
-    return [int(tok) for tok in text.split(",") if tok]
+def _distinct(kind):
+    """Argparse type: a comma-separated list of one or more distinct ``kind``."""
 
+    def parse(text):
+        values = [kind(tok) for tok in text.split(",") if tok]
+        if not values or len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(
+                f"needs one or more distinct values, got {values}")
+        return values
 
-def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok]
+    parse.__name__ = f"{kind.__name__} list"  # argparse's name for a bad token
+    return parse
 
 
 def build_parser():
@@ -352,7 +343,7 @@ def build_parser():
                    help="no effect: nothing here is random")
     p.add_argument("--out", default="out")
     p.add_argument("--j-max", type=int, default=8)
-    p.add_argument("--k-list", type=_int_list, default=[8, 16, 32, 64, 128, 256])
+    p.add_argument("--k-list", type=_distinct(int), default=[8, 16, 32, 64, 128, 256])
     p.set_defaults(func=cmd_conditioning)
 
     p = sub.add_parser("vnorm-sweep", help="PSNR vs variation norm over scales")
@@ -360,7 +351,7 @@ def build_parser():
     p.add_argument("--task", default="ct", choices=sorted(TASK_DEFAULTS))
     p.add_argument("--angles", **angles)
     p.add_argument("--factor", **factor)
-    p.add_argument("--c-list", type=_float_list, default=[1.0, 2.0, 3.0, 5.0])
+    p.add_argument("--c-list", type=_distinct(float), default=[1.0, 2.0, 3.0, 5.0])
     p.set_defaults(func=cmd_vnorm_sweep)
     return parser
 

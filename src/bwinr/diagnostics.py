@@ -20,10 +20,10 @@ much better than plain ReLU ones on low-dimensional fits:
   condition number stays O(1).
 
 Both Grams are filled from their closed forms, each entry rounded once,
-so the eigensolve is most of a spectrum's cost. Each builder checks its
-own size: ``build_relu_gram`` takes K in [2, 512] and
-``check_dyadic_levels``, which ``build_dyadic_gram`` calls, J in [1, 10];
-anything else is a ConfigurationError.
+so the eigensolve is most of a spectrum's cost. Each builder is the one
+check on its own size: ``build_relu_gram`` takes K in [2, 512] and
+``build_dyadic_gram`` J in [1, 10]; anything else is a ConfigurationError,
+raised before any work.
 
 The variation norm measures the regularity of the learned function
 directly from the weights: each wavelet neuron contributes
@@ -152,12 +152,6 @@ def dyadic_system(J):
     return [(j, k) for j in range(J) for k in range(2**j)]
 
 
-def check_dyadic_levels(J):
-    """Raise ConfigurationError unless ``build_dyadic_gram`` accepts ``J``."""
-    if not 1 <= J <= 10:
-        raise ConfigurationError(f"J must be in [1, 10], got {J}")
-
-
 def build_dyadic_gram(J):
     """Exact Gram of the L2-normalized wavelets of ``dyadic_system(J)``.
 
@@ -166,9 +160,11 @@ def build_dyadic_gram(J):
     (2/3) 2^(d/2) I(d, m) with d = jb - ja and m = kb - 2^d ka, where
     I(d, m) is the integral of psi(s) psi(2^d s - m). It vanishes for
     every d >= 1, and I(0, m) is 1/4, 5/108 and -1/216 at |m| = 0, 1, 2
-    and 0 beyond.
+    and 0 beyond. A J outside [1, 10] is a ConfigurationError, raised
+    before any work.
     """
-    check_dyadic_levels(J)
+    if not 1 <= J <= 10:
+        raise ConfigurationError(f"J must be in [1, 10], got {J}")
     K = 2**J - 1
     scale = np.repeat(np.arange(J), 2 ** np.arange(J))
     gram = np.zeros((K, K))

@@ -2,11 +2,15 @@
 
 Each class carries the CLI's exit code and stderr label for it:
 ConfigurationError -> 1, ImageIOError -> 2, NumericalError (and
-subclasses) -> 3, any other package error -> 1. ``read_file`` and
-``write_file`` are the package's only file access; they report any
-OSError, or a path ``open`` rejects (a null byte), as ImageIOError naming
-the path once, with the OS's reason (``strerror``) when there is one.
+subclasses) -> 3, any other package error -> 1. ``read_file``,
+``write_file`` and ``make_dir`` are the package's only file access; they
+report any OSError, or a path the OS call rejects (a null byte), as
+ImageIOError naming the path once, with the OS's reason (``strerror``)
+when there is one.
 """
+
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class BwinrError(Exception):
@@ -59,21 +63,31 @@ class DivergenceError(NumericalError):
         self.log = log
 
 
+@contextmanager
+def _file_boundary(what):
+    """Re-raise a failed file access inside the block as ImageIOError naming ``what``."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
+        raise ImageIOError(f"{what}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def read_file(path):
     """The bytes of ``path``; a failure to open or read it is ImageIOError."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ImageIOError(f"{path}: {reason}") from exc
+    with _file_boundary(path), open(path, "rb") as fh:
+        return fh.read()
 
 
 def write_file(path, data):
     """Write the bytes ``data`` to ``path``; a failure is ImageIOError."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ImageIOError(f"cannot write {path}: {reason}") from exc
+    with _file_boundary(f"cannot write {path}"), open(path, "wb") as fh:
+        fh.write(data)
+
+
+def make_dir(path):
+    """The directory ``path`` as a Path, made with its parents if missing;
+    a failure is ImageIOError."""
+    path = Path(path)
+    with _file_boundary(f"cannot write {path}"):
+        path.mkdir(parents=True, exist_ok=True)
+    return path

@@ -91,8 +91,11 @@ class Gradients:
 class ForwardTrace:
     """Per-layer tensors captured by ``forward`` for use in ``backward``.
 
-    Every ``post`` buffer is feature-major (Fortran order), and so are the
-    derivative codes and dense derivatives that ``apply`` derives from it.
+    ``specs`` are the layer specs of the net that made the trace; with the
+    batch size they fix the shape of every buffer, so ``backward`` checks
+    them, not the buffers, against its own params. Every ``post`` buffer is
+    feature-major (Fortran order), and so are the derivative codes and
+    dense derivatives that ``apply`` derives from it.
 
     When hidden layer 2 has layer 0's width (every net of three or more
     uniform hidden layers), ``post[0]`` and ``deriv[0]`` are None:
@@ -106,6 +109,7 @@ class ForwardTrace:
     unchanged.
     """
 
+    specs: tuple                 # layer specs of the net that made the trace
     inputs: np.ndarray           # (n, in_dim) batch fed to the first layer
     post: list                   # (n, out_l) post-activations per layer, F order, or None
     deriv: list                  # (n, out_l) derivatives: arrays or CodedDerivative, or None
@@ -162,12 +166,6 @@ def init_network(specs, seed):
     return NetworkParams(specs=specs, weights=weights, biases=biases, seed=seed)
 
 
-def _rebuilds_first_layer(specs):
-    """Whether ``backward`` can rebuild hidden layer 0 in hidden layer 2's
-    spent buffer, so that ``forward`` need not keep it."""
-    return len(specs) > 3 and specs[2].out_dim == specs[0].out_dim
-
-
 def _layer(spec, w, b, a, z):
     """One layer evaluated into ``z``: ``a @ w.T + b``, then ``apply``."""
     np.matmul(a, w.T, out=z)
@@ -186,30 +184,31 @@ def forward(params, X):
     it (see ForwardTrace), so two hidden-sized arrays are alive at most.
     """
     X = np.asarray(X, dtype=float)
+    specs = params.specs
     if X.ndim != 2:
         raise ShapeError(f"input batch must be 2-D, got ndim={X.ndim}")
-    if X.shape[1] != params.specs[0].in_dim:
-        raise ShapeError(
-            f"input dim {X.shape[1]} != first layer in_dim "
-            f"{params.specs[0].in_dim}"
-        )
+    if X.shape[1] != specs[0].in_dim:
+        raise ShapeError(f"input dim {X.shape[1]} != first layer in_dim {specs[0].in_dim}")
+    # backward can rebuild hidden layer 0 in hidden layer 2's spent buffer.
+    drop_first = len(specs) > 3 and specs[2].out_dim == specs[0].out_dim
     a = X
     post, deriv = [], []
-    for spec, w, b in zip(params.specs, params.weights, params.biases):
+    for spec, w, b in zip(specs, params.weights, params.biases):
         z = np.empty((X.shape[0], spec.out_dim), order="F")
         a, d = _layer(spec, w, b, a, z)
-        if len(post) == 1 and _rebuilds_first_layer(params.specs):
+        if len(post) == 1 and drop_first:
             post[0] = deriv[0] = None  # layer 1 has read it; backward rebuilds it
         post.append(a)
         deriv.append(d)
-    return a, ForwardTrace(inputs=X, post=post, deriv=deriv)
+    return a, ForwardTrace(specs=specs, inputs=X, post=post, deriv=deriv)
 
 
 def backward(params, trace, dY):
     """Gradients of sum(dY * Y) w.r.t. every weight and bias.
 
-    ``trace`` must come from a ``forward`` call on the same architecture
-    and batch; mismatched shapes raise InvalidInputError. The trace's
+    ``trace`` must come from a ``forward`` call on a net of the same specs
+    (layer sizes, activations and scales) and ``dY`` must have the output's
+    shape; anything else is an InvalidInputError. The trace's
     hidden ``post`` buffers are reused as cotangent storage, so after
     this call ``trace.post[:-1]`` hold scratch values (see ForwardTrace).
     A hidden layer 0 the trace lacks is re-evaluated by ``forward``'s
@@ -219,18 +218,13 @@ def backward(params, trace, dY):
     GEMM into a Fortran-ordered buffer).
     """
     dY = np.asarray(dY, dtype=float)
-    n_layers = len(params.weights)
-    if len(trace.post) != n_layers or len(trace.deriv) != n_layers:
-        raise InvalidInputError("trace layer count does not match params")
-    shapes = [(trace.inputs.shape[0], spec.out_dim) for spec in params.specs]
-    if _rebuilds_first_layer(params.specs):
-        shapes[0] = None
-    if [None if a is None else a.shape for a in trace.post] != shapes:
-        raise InvalidInputError("trace shapes do not match params")
+    if trace.specs != params.specs:
+        raise InvalidInputError("trace comes from a net of other layer specs")
     if dY.shape != trace.post[-1].shape:
         raise InvalidInputError(
             f"cotangent shape {dY.shape} != output shape {trace.post[-1].shape}"
         )
+    n_layers = len(params.weights)
     d_weights = [None] * n_layers
     d_biases = [None] * n_layers
     deriv = list(trace.deriv)
@@ -303,8 +297,6 @@ def _parse_checkpoint(lines):
     for i in range(int(n_layers)):
         in_dim, out_dim, kind, scale = _fields(lines, 3 + i, "layer")
         scale = None if scale == "-" else float(scale)
-        if scale is not None and not np.isfinite(scale):
-            raise InvalidInputError(f"non-finite scale at line {4 + i}")
         specs.append(LayerSpec(int(in_dim), int(out_dim), Activation(kind, scale)))
     specs = _validate_specs(specs)
     pos = 3 + len(specs)
@@ -321,7 +313,9 @@ def _parse_checkpoint(lines):
 
 def load_checkpoint(path):
     """Read a ``save_checkpoint`` file: an unreadable file is ImageIOError,
-    malformed content InvalidInputError."""
+    malformed content InvalidInputError. ``Activation`` is the one check
+    on a layer's kind and scale; its ConfigurationError is reported here
+    as InvalidInputError naming the path."""
     data = read_file(path)
     try:
         return _parse_checkpoint(data.decode("ascii").splitlines())

@@ -330,6 +330,18 @@ class TestConditioning:
             values = np.log([row[header.index(col)] for row in rows])
             assert abs(float(text) - np.polyfit(log_k, values, 1)[0]) <= 5e-4
 
+    def test_builds_each_j_once_j_max_first(self, tmp_path, monkeypatch):
+        built = []
+
+        def recording(J):
+            built.append(J)
+            return build_dyadic_gram(J)
+
+        monkeypatch.setattr(bwinr.cli, "build_dyadic_gram", recording)
+        assert run(["conditioning", "--j-max", "4", "--k-list", "8",
+                    "--out", str(tmp_path / "o")]) == 0
+        assert built == [4, 1, 2, 3]
+
     def test_deterministic(self, tmp_path):
         run(["conditioning", "--j-max", "3", "--k-list", "8", "--out", str(tmp_path / "a")])
         run(["conditioning", "--j-max", "3", "--k-list", "8", "--out", str(tmp_path / "b")])
@@ -415,6 +427,20 @@ class TestExitCodes:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, text, values", [
+        ("conditioning", "--k-list", ",", "[]"),
+        ("conditioning", "--k-list", "8,16,8", "[8, 16, 8]"),
+        ("vnorm-sweep", "--c-list", ",", "[]"),
+        ("vnorm-sweep", "--c-list", "1,3,1.0", "[1.0, 3.0, 1.0]"),
+    ], ids=["k-empty", "k-repeated", "c-empty", "c-repeated"])
+    def test_list_flag_message(self, tmp_path, capsys, command, flag, text, values):
+        code = run([command, flag, text, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: argument {flag}: needs one or more distinct "
+            f"values, got {values}\n"
+        )
 
     @pytest.mark.parametrize("flags", [
         ["--c-list", ",", "--target-loss", "1e-3"],
@@ -570,6 +596,20 @@ class TestExitCodes:
         assert code == 2
         reason = os.strerror(errno.ENOTDIR)
         assert capsys.readouterr().err == f"i/o error: cannot write {blocker / 'sub'}: {reason}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["conditioning", "--j-max", "2", "--k-list", "8"],
+        ["fit", "--image", "scene:8", "--epochs", "0", "--width", "4",
+         "--layers", "1"],
+    ], ids=["conditioning", "fit"])
+    def test_null_byte_out_is_io_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(bwinr.cli, "train", _trained_too_early)
+        out = f"{tmp_path}/a\0b"
+        code = run(command + ["--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"i/o error: cannot write {out}: ")
 
     @pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt", "recon.pgm"])
     def test_unwritable_output_file_is_io_error(self, tmp_path, capsys, name):

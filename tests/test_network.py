@@ -204,6 +204,17 @@ class TestBackward:
         with pytest.raises(InvalidInputError):
             backward(p, trace, np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("other", [
+        Activation("bwrelu", 2.0), Activation("sine", 3.0),
+    ], ids=["bwrelu-c2", "sine-c3"])
+    def test_trace_of_another_activation_rejected(self, other):
+        # Same shapes throughout, so only the specs tell the traces apart.
+        p = init_network(mlp_specs([2, 6, 6, 6, 1], BW3), 1)
+        q = init_network(mlp_specs([2, 6, 6, 6, 1], other), 1)
+        _, trace = forward(q, np.zeros((4, 2)))
+        with pytest.raises(InvalidInputError):
+            backward(p, trace, np.zeros((4, 1)))
+
     def test_wrong_cotangent_shape_rejected(self):
         p = init_network(mlp_specs([2, 6, 1], BW3), 1)
         _, trace = forward(p, np.zeros((4, 2)))
@@ -531,8 +542,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("line, bad", [
         ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu inf"),
+        ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu nan"),
+        ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu -3.0"),
+        ("layer 2 3 bwrelu 3.0", "layer 2 3 relu 3.0"),
         ("tensor b0", "tensor W9"),
-    ], ids=["scale-inf", "tensor-tag"])
+    ], ids=["scale-inf", "scale-nan", "scale-negative", "relu-scale", "tensor-tag"])
     def test_bad_structure_line_rejected(self, tmp_path, line, bad):
         p = init_network(mlp_specs([2, 3, 1], BW3), 0)
         path = tmp_path / "net.txt"
