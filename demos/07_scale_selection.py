@@ -26,9 +26,9 @@ def main():
     base = TrainConfig(
         activation=Activation("bwrelu", 3.0),
         epochs=1200, lr0=2e-3, decay=0.1, width=48, depth=3, seed=0,
-        log_every=300,
+        log_every=300, target_loss=2e-4,
     )
-    rows = run_vnorm_sweep(task, base, [1.0, 2.0, 3.0, 5.0], target_loss=2e-4)
+    rows = run_vnorm_sweep(task, base, [1.0, 2.0, 3.0, 5.0])
     print(f"{'c':>4} {'epochs':>7} {'loss':>10} {'psnr (dB)':>10} {'vnorm':>10}"
           f" {'vnorm/c':>10}")
     for c, _, epochs, loss, snr, vnorm in rows:

@@ -215,9 +215,9 @@ def expand_to_relus(w, b, v, c):
 
     Atom i computes coeff_i * v * relu((c*w).x - (c*b + shift_i)); the sum
     of the seven atoms reproduces the wavelet neuron for every x.
+    ``Activation`` checks ``c`` as it does every bwrelu scale.
     """
-    if not c > 0:
-        raise ConfigurationError(f"scale must be positive, got {c!r}")
+    Activation("bwrelu", c)
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     return [

@@ -230,18 +230,14 @@ def cmd_conditioning(args):
     return 0
 
 
-def run_vnorm_sweep(task, base_cfg, c_list, target_loss):
-    """Train one net per scale, early-stopped at the shared target loss.
+def run_vnorm_sweep(task, base_cfg, c_list):
+    """Train one net per scale, early-stopped at ``base_cfg.target_loss``.
 
     Returns rows (c, seed, epochs_run, loss, psnr, vnorm_total).
     """
     rows = []
     for c in c_list:
-        cfg = replace(
-            base_cfg,
-            activation=Activation("bwrelu", float(c)),
-            target_loss=target_loss,
-        )
+        cfg = replace(base_cfg, activation=Activation("bwrelu", float(c)))
         _, log = train(cfg, task)
         final = log.entries[-1]
         rows.append((
@@ -258,7 +254,7 @@ def cmd_vnorm_sweep(args):
         Activation("bwrelu", c)  # rejects a non-positive scale before training
     cfg, task = _config_and_task(args)
     out = make_dir(args.out)
-    rows = run_vnorm_sweep(task, cfg, args.c_list, args.target_loss)
+    rows = run_vnorm_sweep(task, cfg, args.c_list)
     write_table(
         out / "sweep.csv",
         ["c", "seed", "epochs", "loss", "psnr", "vnorm_total"],

@@ -6,7 +6,8 @@ subclasses) -> 3, any other package error -> 1. ``read_file``,
 ``write_file`` and ``make_dir`` are the package's only file access; they
 report any OSError, or a path the OS call rejects (a null byte), as
 ImageIOError naming the path once, with the OS's reason (``strerror``)
-when there is one.
+when there is one; a path with an unprintable character is named by its
+``repr``.
 """
 
 from contextlib import contextmanager
@@ -64,12 +65,15 @@ class DivergenceError(NumericalError):
 
 
 @contextmanager
-def _file_boundary(what):
-    """Re-raise a failed file access inside the block as ImageIOError naming ``what``."""
+def _file_boundary(path, action=""):
+    """Re-raise a failed file access inside the block as ImageIOError naming
+    ``path`` after ``action``: verbatim, or by its repr if it holds an
+    unprintable character (a NUL or a newline), so the message stays one line."""
+    shown = str(path) if str(path).isprintable() else repr(str(path))
     try:
         yield
     except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
-        raise ImageIOError(f"{what}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise ImageIOError(f"{action}{shown}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def read_file(path):
@@ -80,7 +84,7 @@ def read_file(path):
 
 def write_file(path, data):
     """Write the bytes ``data`` to ``path``; a failure is ImageIOError."""
-    with _file_boundary(f"cannot write {path}"), open(path, "wb") as fh:
+    with _file_boundary(path, "cannot write "), open(path, "wb") as fh:
         fh.write(data)
 
 
@@ -88,6 +92,6 @@ def make_dir(path):
     """The directory ``path`` as a Path, made with its parents if missing;
     a failure is ImageIOError."""
     path = Path(path)
-    with _file_boundary(f"cannot write {path}"):
+    with _file_boundary(path, "cannot write "):
         path.mkdir(parents=True, exist_ok=True)
     return path

@@ -6,10 +6,12 @@ linear. Forward passes record the per-layer tensors needed for an exact
 backward pass; ``training.grad_check`` validates the gradients against
 finite differences of the training loss.
 
-Checkpoints use a versioned plain-text format (header ``BWINR1``) that
-round-trips float64 values exactly; see ``save_checkpoint``.
+Checkpoints are versioned text (header ``BWINR2``): one line per layer
+spec, then every value as base64 float64 on one ``data`` line, so they
+round-trip exactly; see ``save_checkpoint``.
 """
 
+import base64
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from .activations import WAVELET_SHIFTS, Activation, apply, times_derivative
 from .errors import ConfigurationError, InvalidInputError, ShapeError, read_file, write_file
 
-CHECKPOINT_MAGIC = "BWINR1"
+CHECKPOINT_MAGIC = "BWINR2"
 
 # Activation-argument value at the center of the wavelet bump (1.5), used
 # to anchor wavelet supports inside the data domain at initialization.
@@ -254,18 +256,17 @@ def _format_scale(activation):
 
 
 def save_checkpoint(params, path):
-    """Write params as versioned text; float64 values round-trip exactly."""
+    """Write the header lines, then one ``data`` line: the base64 of every
+    weight, then every bias, in layer order as little-endian float64. The
+    values round-trip exactly, and equal params write equal bytes."""
     lines = [CHECKPOINT_MAGIC, f"seed {params.seed}", f"layers {len(params.specs)}"]
     for spec in params.specs:
         lines.append(
             f"layer {spec.in_dim} {spec.out_dim} "
             f"{spec.activation.kind} {_format_scale(spec.activation)}"
         )
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        lines.append(f"tensor W{l}")
-        lines.extend(" ".join(repr(v) for v in row) for row in w.tolist())
-        lines.append(f"tensor b{l}")
-        lines.append(" ".join(repr(v) for v in b.tolist()))
+    values = np.concatenate([a.ravel() for a in params.weights + params.biases])
+    lines.append("data " + base64.b64encode(values.astype("<f8").tobytes()).decode("ascii"))
     write_file(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -275,17 +276,6 @@ def _fields(lines, pos, tag):
     if tokens[:1] != [tag]:
         raise InvalidInputError(f"expected {tag!r} at line {pos + 1}")
     return tokens[1:]
-
-
-def _tensor(lines, pos, name, shape):
-    """The finite ``shape`` array headed by 'tensor <name>' on line ``pos``."""
-    if _fields(lines, pos, "tensor") != [name]:
-        raise InvalidInputError(f"expected 'tensor {name}' at line {pos + 1}")
-    rows = lines[pos + 1:pos + 1 + shape[0]]
-    arr = np.array([[float(v) for v in row.split()] for row in rows])
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"tensor {name}: expected {shape} finite values")
-    return arr
 
 
 def _parse_checkpoint(lines):
@@ -300,15 +290,18 @@ def _parse_checkpoint(lines):
         specs.append(LayerSpec(int(in_dim), int(out_dim), Activation(kind, scale)))
     specs = _validate_specs(specs)
     pos = 3 + len(specs)
-    weights, biases = [], []
-    for l, spec in enumerate(specs):
-        weights.append(_tensor(lines, pos, f"W{l}", (spec.out_dim, spec.in_dim)))
-        pos += 1 + spec.out_dim
-        biases.append(_tensor(lines, pos, f"b{l}", (1, spec.out_dim))[0])
-        pos += 2
-    if pos != len(lines):
-        raise InvalidInputError(f"unexpected content at line {pos + 1}")
-    return NetworkParams(specs=specs, weights=weights, biases=biases, seed=int(seed))
+    (data,) = _fields(lines, pos, "data")
+    if pos + 1 != len(lines):
+        raise InvalidInputError(f"unexpected content at line {pos + 2}")
+    shapes = [(s.out_dim, s.in_dim) for s in specs] + [(s.out_dim,) for s in specs]
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    raw = base64.b64decode(data, validate=True)
+    values = np.frombuffer(raw, "<f8", count=len(raw) // 8).astype(float)
+    if len(raw) != 8 * ends[-1] or not np.all(np.isfinite(values)):
+        raise InvalidInputError(f"data: expected {ends[-1]} finite float64 values")
+    arrays = [v.reshape(shape) for v, shape in zip(np.split(values, ends[:-1]), shapes)]
+    n = len(specs)
+    return NetworkParams(specs, arrays[:n], arrays[n:], int(seed))
 
 
 def load_checkpoint(path):
@@ -319,5 +312,5 @@ def load_checkpoint(path):
     data = read_file(path)
     try:
         return _parse_checkpoint(data.decode("ascii").splitlines())
-    except ValueError as exc:  # also ConfigurationError, UnicodeDecodeError
+    except ValueError as exc:  # also ConfigurationError, UnicodeDecodeError, binascii.Error
         raise InvalidInputError(f"{path}: {exc}") from exc

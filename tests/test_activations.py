@@ -357,6 +357,11 @@ class TestExpandToRelus:
         with pytest.raises(ConfigurationError):
             expand_to_relus(np.ones(2), 0.0, np.ones(1), 0.0)
 
+    @pytest.mark.parametrize("c", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_scale_rejected(self, c):
+        with pytest.raises(ConfigurationError):
+            expand_to_relus(np.ones(2), 0.0, np.ones(1), c)
+
 
 class TestPositionalEncoding:
     def test_zero_input(self):

@@ -1,4 +1,6 @@
 """Property tests for checkpoint loading (skipped where hypothesis is absent)."""
+import string
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,43 @@ def test_every_line_prefix_loads_equal_or_is_rejected(
         assert (q.seed, q.specs) == (p.seed, p.specs)
         for a, b in zip(p.weights + p.biases, q.weights + q.biases):
             assert np.array_equal(a, b)
+
+
+BASE64_ALPHABET = string.ascii_letters + string.digits + "+/"
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    seed=st.integers(0, 2**40),
+    cut=st.booleans(),
+    data=st.data(),
+)
+def test_mutated_data_line_loads_close_or_is_rejected(tmp_path, sizes, seed, cut, data):
+    # One base64 character holds 6 bits, which fall in at most two float64
+    # values; a line cut short never holds the specs' count of values.
+    p = init_network(mlp_specs(sizes, Activation("bwrelu", 3.0)), seed)
+    path = tmp_path / "net.txt"
+    save_checkpoint(p, path)
+    *header, line = path.read_text().splitlines(keepends=True)
+    line = line.rstrip("\n")
+    if cut:
+        line = line[:data.draw(st.integers(0, len(line) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(len("data "), len(line.rstrip("=")) - 1), label="pos")
+        char = data.draw(st.sampled_from(BASE64_ALPHABET + "=!-_ "), label="char")
+        line = line[:pos] + char + line[pos + 1:]
+    path.write_text("".join(header) + line + "\n")
+    try:
+        q = load_checkpoint(path)
+    except InvalidInputError:
+        return
+    assert not cut and char in BASE64_ALPHABET
+    assert (q.seed, q.specs) == (p.seed, p.specs)
+    changed = sum(
+        int(np.sum(a != b)) for a, b in zip(p.weights + p.biases, q.weights + q.biases)
+    )
+    assert changed <= 2

@@ -608,8 +608,15 @@ class TestExitCodes:
         code = run(command + ["--out", out])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"i/o error: cannot write {out}: ")
+        assert "\0" not in err and err.count("\n") == 1
+        assert err.startswith(f"i/o error: cannot write {out!r}: ")
+
+    def test_newline_in_image_path_is_one_stderr_line(self, tmp_path, capsys):
+        path = f"{tmp_path}/no\nsuch.pgm"
+        code = run(["fit", "--image", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        reason = os.strerror(errno.ENOENT)
+        assert capsys.readouterr().err == f"i/o error: {path!r}: {reason}\n"
 
     @pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt", "recon.pgm"])
     def test_unwritable_output_file_is_io_error(self, tmp_path, capsys, name):

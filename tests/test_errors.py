@@ -45,7 +45,8 @@ def test_unreadable_path_is_io_error(tmp_path, reader, kind):
     path = tmp_path / ("in\0" if kind == "null-byte" else "in")
     if kind == "directory":
         path.mkdir()
-    with pytest.raises(ImageIOError, match=re.escape(str(path))):
+    shown = repr(str(path)) if kind == "null-byte" else str(path)
+    with pytest.raises(ImageIOError, match=re.escape(shown)):
         reader(path)
 
 

@@ -1,3 +1,4 @@
+import base64
 import sys
 import tracemalloc
 
@@ -499,6 +500,14 @@ class TestNetworkProperties:
             assert abs(obj1 - obj2) <= 1e-12 * max(abs(obj1), 1.0)
 
 
+def _edit_values(edit):
+    """A checkpoint data-line edit that maps its float64 values by ``edit``."""
+    def edit_line(line):
+        values = np.frombuffer(base64.b64decode(line.removeprefix("data ")), "<f8")
+        return "data " + base64.b64encode(np.asarray(edit(values), "<f8").tobytes()).decode()
+    return edit_line
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         p = init_network(mlp_specs([2, 9, 4, 1], BW3), 13)
@@ -514,7 +523,7 @@ class TestCheckpoint:
         p = init_network(mlp_specs([1, 2, 1], Activation("relu")), 0)
         path = tmp_path / "net.txt"
         save_checkpoint(p, path)
-        assert path.read_text().startswith("BWINR1\n")
+        assert path.read_text().startswith("BWINR2\n")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -524,35 +533,46 @@ class TestCheckpoint:
 
     def test_truncated_after_layers_line_rejected(self, tmp_path):
         path = tmp_path / "cut.txt"
-        path.write_text("BWINR1\nseed 0\nlayers 2\n")
+        path.write_text("BWINR2\nseed 0\nlayers 2\n")
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
-    def test_bad_weight_rejected(self, tmp_path, bad):
-        p = init_network(mlp_specs([2, 3, 1], BW3), 0)
-        path = tmp_path / "net.txt"
-        save_checkpoint(p, path)
+    @staticmethod
+    def _edit_data_line(path, edit):
+        """Save a [2, 3, 1] net to ``path``, its data line replaced by ``edit`` of it."""
+        save_checkpoint(init_network(mlp_specs([2, 3, 1], BW3), 0), path)
         lines = path.read_text().splitlines()
-        row = lines.index("tensor W0") + 1
-        lines[row] = " ".join([bad] + lines[row].split()[1:])
+        lines[-1] = edit(lines[-1])
         path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(_edit_values(lambda v: np.r_[np.nan, v[1:]]), id="nan"),
+        pytest.param(_edit_values(lambda v: np.r_[np.inf, v[1:]]), id="inf"),
+        pytest.param(_edit_values(lambda v: np.r_[-np.inf, v[1:]]), id="-inf"),
+        pytest.param(lambda line: line[:10] + "!" + line[10:], id="non-base64"),
+        pytest.param(_edit_values(lambda v: v[:-1]), id="one-short"),
+        pytest.param(_edit_values(lambda v: np.r_[v, 1.0]), id="one-long"),
+    ])
+    def test_bad_weight_rejected(self, tmp_path, edit):
+        path = tmp_path / "net.txt"
+        self._edit_data_line(path, edit)
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("line, bad", [
+    @pytest.mark.parametrize("prefix, bad", [
         ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu inf"),
         ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu nan"),
         ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu -3.0"),
         ("layer 2 3 bwrelu 3.0", "layer 2 3 relu 3.0"),
-        ("tensor b0", "tensor W9"),
-    ], ids=["scale-inf", "scale-nan", "scale-negative", "relu-scale", "tensor-tag"])
-    def test_bad_structure_line_rejected(self, tmp_path, line, bad):
+        ("data ", "tensor "),
+    ], ids=["scale-inf", "scale-nan", "scale-negative", "relu-scale", "data-tag"])
+    def test_bad_structure_line_rejected(self, tmp_path, prefix, bad):
         p = init_network(mlp_specs([2, 3, 1], BW3), 0)
         path = tmp_path / "net.txt"
         save_checkpoint(p, path)
         lines = path.read_text().splitlines()
-        lines[lines.index(line)] = bad
+        row = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[row] = bad + lines[row].removeprefix(prefix)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)

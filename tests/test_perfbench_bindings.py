@@ -4,9 +4,10 @@
 names, in each ``bwinr`` module that binds it, and wraps
 ``RadonTransform.__init__``; ``perfbench/child.py`` times the ``bwinr.cli``
 attributes its ``COMPUTE_CALLS`` names; ``perfbench/checks.py`` reads back
-the CSVs of ``conditioning``. These files are read here, not changed, so a
-rename or a schema change in the package fails these tests instead of a
-benchmark run.
+the CSVs of ``conditioning`` and every file of a training run, checkpoint
+included. These files are read here, not changed, so a rename, a schema
+change or a file format the benchmark cannot read fails these tests
+instead of a benchmark run.
 """
 
 import ast
@@ -86,3 +87,12 @@ def test_default_conditioning_passes_the_benchmarks_output_check(tmp_path):
     assert bwinr.cli.main(["conditioning", "--out", str(tmp_path)]) == 0
     dyadic, relu = checks.check_conditioning(tmp_path)
     assert len(dyadic) == len(checks.DYADIC_J) and len(relu) == len(checks.RELU_K)
+
+
+def test_ct_workload_passes_the_benchmarks_training_check(tmp_path):
+    workload = _perfbench_module("workloads").WORKLOADS["ct-bwrelu-cond"]
+    checks = _perfbench_module("checks")
+    argv = [*workload.cli_args, "--seed", "1", "--out", str(tmp_path)]
+    assert bwinr.cli.main(argv) == 0
+    final = checks.check_training(tmp_path, workload, 1)
+    assert final.epoch == workload.epochs
