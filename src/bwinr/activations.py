@@ -174,8 +174,8 @@ def apply(activation, z):
 
     For scaled kinds the function is zeta(c*z) and the returned derivative
     is d/dz zeta(c*z), i.e. the chain factor c is already included. ReLU
-    is positively homogeneous, so it ignores any scale; identity passes
-    through. The ReLU derivative at 0 follows the right-derivative
+    and identity carry no scale (``Activation`` rejects one); identity
+    passes through. The ReLU derivative at 0 follows the right-derivative
     convention (1), matching ``psi_prime`` at its kinks.
 
     ``z``, a C- or Fortran-contiguous float64 array (else ShapeError), is

@@ -36,6 +36,7 @@ from .errors import (
     ShapeError,
     make_dir,
     read_file,
+    show_path,
     write_file,
 )
 from .images import load_image, save_image
@@ -141,13 +142,13 @@ def write_table(path, header, rows):
 
 
 def read_table(path):
-    """Parse an ASCII CSV by ``training.parse_table`` into (header, rows)."""
+    """Parse an ASCII CSV by ``training.parse_table`` into (header, rows);
+    malformed content is ShapeError naming the path by ``show_path``."""
     data = read_file(path)
     try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ShapeError(f"{path}: not ASCII text ({exc})") from exc
-    return parse_table(text)
+        return parse_table(data.decode("ascii"))
+    except ValueError as exc:  # parse_table's ShapeError, or UnicodeDecodeError
+        raise ShapeError(f"{show_path(path)}: {exc}") from exc
 
 
 def cmd_train(args):
@@ -185,12 +186,12 @@ def cmd_train(args):
     snr = "n/a" if final.psnr is None else f"{final.psnr:.2f} dB"
     print(
         f"{args.task}: epochs={final.epoch} loss={final.loss:.3e} psnr={snr}"
-        f" -> {out}"
+        f" -> {show_path(out)}"
     )
     return 0
 
 
-def _spectrum(report):
+def _spectrum_cells(report):
     """lambda_min, lambda_max, kappa and floored of one Gram report."""
     eigs, cond = report.eigenvalues, report.condition
     return [float(eigs[0]), float(eigs[-1]), cond.value, cond.floored]
@@ -211,13 +212,13 @@ def cmd_conditioning(args):
     write_table(
         out / "dyadic_gram.csv",
         ["J", "K", "lambda_min", "lambda_max", "kappa", "floored", "diag"],
-        [[J, len(r.matrix), *_spectrum(r), float(r.matrix[0, 0])]
+        [[J, len(r.matrix), *_spectrum_cells(r), float(r.matrix[0, 0])]
          for J, r in enumerate(dyadic, 1)],
     )
     write_table(
         out / "relu_gram.csv",
         ["K", "lambda_min", "lambda_max", "kappa", "floored"],
-        [[K, *_spectrum(r)] for K, r in zip(args.k_list, relu)],
+        [[K, *_spectrum_cells(r)] for K, r in zip(args.k_list, relu)],
     )
     if len(relu) >= 2:
         logs = np.log([[K, r.eigenvalues[0], r.condition.value]
@@ -226,7 +227,7 @@ def cmd_conditioning(args):
         print(f"relu gram: log-log lambda_min slope {lam_slope:.3f}, "
               f"kappa slope {kappa_slope:.3f} over K={args.k_list}")
     print(f"dyadic gram: max kappa {max(r.condition.value for r in dyadic):.4f} "
-          f"for J<={args.j_max} -> {out}")
+          f"for J<={args.j_max} -> {show_path(out)}")
     return 0
 
 
@@ -264,7 +265,7 @@ def cmd_vnorm_sweep(args):
     best_vnorm = min(rows, key=lambda r: r[5])
     print(
         f"sweep: best psnr at c={best_psnr[0]} "
-        f"({best_psnr[4]:.2f} dB), min vnorm at c={best_vnorm[0]} -> {out}"
+        f"({best_psnr[4]:.2f} dB), min vnorm at c={best_vnorm[0]} -> {show_path(out)}"
     )
     return 0
 

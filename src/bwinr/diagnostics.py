@@ -20,7 +20,8 @@ much better than plain ReLU ones on low-dimensional fits:
   condition number stays O(1).
 
 Both Grams are filled from their closed forms, each entry rounded once,
-so the eigensolve is most of a spectrum's cost. Each builder is the one
+so the eigensolve is most of a spectrum's cost; ``_spectrum`` runs it
+once per Gram, the feature Gram's included. Each builder is the one
 check on its own size: ``build_relu_gram`` takes K in [2, 512] and
 ``build_dyadic_gram`` J in [1, 10]; anything else is a ConfigurationError,
 raised before any work.
@@ -54,6 +55,16 @@ class GramReport:
     matrix: np.ndarray
     eigenvalues: np.ndarray       # ascending
     condition: ConditionNumber
+
+
+def _spectrum(gram):
+    """GramReport of a symmetric PSD ``gram`` from one ``sym_eigvals`` call.
+    An all-zero Gram (a dead layer's) has no lambda_max to scale a floor by,
+    so it reads the flagged floor 1 / COND_FLOOR_REL, as singular Grams do."""
+    eigs = sym_eigvals(gram)
+    if eigs[-1] <= 0.0:
+        return GramReport(gram, eigs, ConditionNumber(1.0 / COND_FLOOR_REL, True))
+    return GramReport(gram, eigs, condition_number(eigs))
 
 
 @dataclass(frozen=True)
@@ -133,12 +144,7 @@ def build_relu_gram(K):
     gram *= 4.0 * (K - n) ** 2
     gram /= 3.0 * K**3
     np.copyto(gram, gram.T, where=np.tri(K, k=-1, dtype=bool))
-    eigs = sym_eigvals(gram)
-    return GramReport(
-        matrix=gram,
-        eigenvalues=eigs,
-        condition=condition_number(eigs),
-    )
+    return _spectrum(gram)
 
 
 def dyadic_system(J):
@@ -172,42 +178,22 @@ def build_dyadic_gram(J):
     for gap, entry in ((1, 5 / 162), (2, -1 / 324)):
         i = np.flatnonzero(scale[:-gap] == scale[gap:])
         gram[i, i + gap] = gram[i + gap, i] = entry
-    eigs = sym_eigvals(gram)
-    return GramReport(
-        matrix=gram,
-        eigenvalues=eigs,
-        condition=condition_number(eigs),
-    )
+    return _spectrum(gram)
 
 
-def feature_gram_condition(trace, layer):
-    """Condition number of the layer's empirical feature Gram (1/N) Phi Phi^T.
+def feature_gram_condition(features):
+    """Condition number of the empirical feature Gram (1/N) Phi Phi^T.
 
-    ``trace`` is the ``ForwardTrace`` of a forward pass over the batch of
-    interest, read before ``backward`` turns its hidden ``post`` into
-    scratch (training passes its own step's trace, so no second forward
-    runs); ``layer`` indexes a hidden layer, and row k of Phi holds neuron
-    k's post-activations ``trace.post[layer][:, k]``. The 1/N
-    normalization makes the result invariant to the sample count. A dead
-    layer (every feature zero) reads the flagged floor 1 / COND_FLOOR_REL,
-    as the other singular Grams do. A layer the trace does not hold (see
-    ``ForwardTrace``; never the last hidden layer) is an InvalidInputError.
+    Row k of Phi is column k of the (N, K) array ``features``: a hidden
+    layer's post-activations, or any subset of their columns. The 1/N
+    normalization makes the result invariant to N. All-zero features (a
+    dead layer) read the flagged floor 1 / COND_FLOOR_REL. Anything but a
+    2-D array, None included, is a ShapeError.
     """
-    n_hidden = len(trace.post) - 1
-    if not 0 <= layer < n_hidden:
-        raise InvalidInputError(
-            f"layer {layer} is not a hidden layer (0..{n_hidden - 1})"
-        )
-    feats = trace.post[layer]
-    if feats is None:
-        raise InvalidInputError(
-            f"layer {layer} is not in the trace: forward drops it once the "
-            "next layer has read it, and only backward rebuilds it"
-        )
-    eigs = sym_eigvals(feats.T @ feats / feats.shape[0])
-    if eigs[-1] <= 0.0:  # a dead layer: all-zero features, a zero Gram
-        return ConditionNumber(1.0 / COND_FLOOR_REL, True)
-    return condition_number(eigs)
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim != 2:
+        raise ShapeError(f"features must be an (N, K) array, got shape {feats.shape}")
+    return _spectrum(feats.T @ feats / feats.shape[0]).condition
 
 
 def psnr(reference, estimate):

@@ -6,8 +6,8 @@ subclasses) -> 3, any other package error -> 1. ``read_file``,
 ``write_file`` and ``make_dir`` are the package's only file access; they
 report any OSError, or a path the OS call rejects (a null byte), as
 ImageIOError naming the path once, with the OS's reason (``strerror``)
-when there is one; a path with an unprintable character is named by its
-``repr``.
+when there is one. Every message naming a path, the readers' content
+errors too, names it by ``show_path``: by its ``repr`` if unprintable.
 """
 
 from contextlib import contextmanager
@@ -64,16 +64,21 @@ class DivergenceError(NumericalError):
         self.log = log
 
 
+def show_path(path):
+    """``path`` verbatim, or by its repr if it holds an unprintable character
+    (a NUL or a newline), so a message naming it stays one line."""
+    return str(path) if str(path).isprintable() else repr(str(path))
+
+
 @contextmanager
 def _file_boundary(path, action=""):
     """Re-raise a failed file access inside the block as ImageIOError naming
-    ``path`` after ``action``: verbatim, or by its repr if it holds an
-    unprintable character (a NUL or a newline), so the message stays one line."""
-    shown = str(path) if str(path).isprintable() else repr(str(path))
+    ``path`` (by ``show_path``) after ``action``."""
     try:
         yield
     except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
-        raise ImageIOError(f"{action}{shown}: {getattr(exc, 'strerror', None) or exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise ImageIOError(f"{action}{show_path(path)}: {reason}") from exc
 
 
 def read_file(path):

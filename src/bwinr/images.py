@@ -6,12 +6,13 @@ exactly.
 
 import numpy as np
 
-from .errors import ImageIOError, read_file, write_file
+from .errors import ImageIOError, read_file, show_path, write_file
 from .operators import ImageGrid
 
 
-def _read_header_token(data, pos):
-    # Skip whitespace and '#' comment lines between header tokens.
+def _header_int(data, pos):
+    """The header number after byte ``pos`` and the position past it,
+    skipping whitespace and '#' comment lines before it."""
     n = len(data)
     while pos < n:
         ch = data[pos:pos + 1]
@@ -26,36 +27,40 @@ def _read_header_token(data, pos):
     while pos < n and not data[pos:pos + 1].isspace():
         pos += 1
     if start == pos:
-        raise ImageIOError(f"truncated PGM header at byte {start}")
-    return data[start:pos], pos
-
-
-def load_image(path):
-    """Load an 8-bit grayscale binary PGM (P5), mapping bytes to [0, 1]."""
-    data = read_file(path)
-    if data[:2] != b"P5":
-        raise ImageIOError(f"{path}: not a binary PGM (missing P5 magic)")
-    pos = 2
+        raise ValueError(f"truncated PGM header at byte {start}")
     try:
-        width_tok, pos = _read_header_token(data, pos)
-        height_tok, pos = _read_header_token(data, pos)
-        maxval_tok, pos = _read_header_token(data, pos)
-        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
+        return int(data[start:pos]), pos
     except ValueError as exc:
-        raise ImageIOError(f"{path}: malformed PGM header near byte {pos}: {exc}")
+        raise ValueError(f"malformed PGM header near byte {start}: {exc}") from None
+
+
+def _parse_pgm(data):
+    """The (height, width) uint8 pixels of P5 ``data``; bad content is ValueError."""
+    if data[:2] != b"P5":
+        raise ValueError("not a binary PGM (missing P5 magic)")
+    width, pos = _header_int(data, 2)
+    height, pos = _header_int(data, pos)
+    maxval, pos = _header_int(data, pos)
     if width < 1 or height < 1:
-        raise ImageIOError(f"{path}: PGM dimensions must be positive, got {width}x{height}")
+        raise ValueError(f"PGM dimensions must be positive, got {width}x{height}")
     if maxval != 255:
-        raise ImageIOError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+        raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval
     expected = width * height
     payload = data[pos:pos + expected]
     if len(payload) != expected:
-        raise ImageIOError(
-            f"{path}: expected {expected} pixel bytes at byte {pos}, "
-            f"found {len(payload)}"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+        raise ValueError(f"expected {expected} pixel bytes at byte {pos}, found {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+
+
+def load_image(path):
+    """Load an 8-bit grayscale binary PGM (P5), mapping bytes to [0, 1].
+    Malformed content is ImageIOError naming the path by ``show_path``."""
+    data = read_file(path)
+    try:
+        pixels = _parse_pgm(data)
+    except ValueError as exc:
+        raise ImageIOError(f"{show_path(path)}: {exc}") from exc
     return ImageGrid(pixels.astype(float) / 255.0)
 
 

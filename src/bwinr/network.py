@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import WAVELET_SHIFTS, Activation, apply, times_derivative
-from .errors import ConfigurationError, InvalidInputError, ShapeError, read_file, write_file
+from .errors import (
+    ConfigurationError, InvalidInputError, ShapeError, read_file, show_path, write_file,
+)
 
 CHECKPOINT_MAGIC = "BWINR2"
 
@@ -308,9 +310,9 @@ def load_checkpoint(path):
     """Read a ``save_checkpoint`` file: an unreadable file is ImageIOError,
     malformed content InvalidInputError. ``Activation`` is the one check
     on a layer's kind and scale; its ConfigurationError is reported here
-    as InvalidInputError naming the path."""
+    as InvalidInputError naming the path by ``show_path``."""
     data = read_file(path)
     try:
         return _parse_checkpoint(data.decode("ascii").splitlines())
     except ValueError as exc:  # also ConfigurationError, UnicodeDecodeError, binascii.Error
-        raise InvalidInputError(f"{path}: {exc}") from exc
+        raise InvalidInputError(f"{show_path(path)}: {exc}") from exc

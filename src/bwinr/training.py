@@ -282,7 +282,7 @@ def _diagnostics_entry(cfg, task, params, trace, epoch, loss, lr, rendered):
         vnorm_total = variation_norm_deep(params).total
     feat = None
     if cfg.track_feature_condition:
-        feat = feature_gram_condition(trace, len(params.specs) - 2).value
+        feat = feature_gram_condition(trace.post[-2]).value  # the last hidden layer
     return LogEntry(
         epoch=epoch, loss=loss, psnr=snr, lr=lr,
         vnorm_total=vnorm_total, feat_cond=feat,

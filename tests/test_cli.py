@@ -232,7 +232,7 @@ class TestFit:
         assert code == 0
         [(cfg, task)] = runs
         trace = forward(load_checkpoint(out / "checkpoint.txt"), prepare_inputs(cfg, task))[1]
-        expected = feature_gram_condition(trace, layers - 1).value
+        expected = feature_gram_condition(trace.post[layers - 1]).value
         log = TrainLog.from_csv((out / "log.csv").read_text())
         assert log.entries[-1].feat_cond == expected
 
@@ -617,6 +617,21 @@ class TestExitCodes:
         assert code == 2
         reason = os.strerror(errno.ENOENT)
         assert capsys.readouterr().err == f"i/o error: {path!r}: {reason}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["conditioning", "--j-max", "2", "--k-list", "8"],
+        ["fit", "--image", "scene:8", "--epochs", "1", "--width", "4",
+         "--layers", "1"],
+        ["vnorm-sweep", "--task", "ct", "--image", "shepp-logan:8", "--angles", "4",
+         "--epochs", "2", "--c-list", "1", "--target-loss", "1e-4"],
+    ], ids=["conditioning", "fit", "vnorm-sweep"])
+    def test_control_character_in_out_is_shown_by_repr(self, tmp_path, capsys, command):
+        out = f"{tmp_path}/a\x01b"
+        assert run(command + ["--out", out]) == 0
+        stdout = capsys.readouterr().out
+        assert "\x01" not in stdout
+        assert stdout.endswith(f" -> {out!r}\n")
+        assert Path(out).is_dir()
 
     @pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt", "recon.pgm"])
     def test_unwritable_output_file_is_io_error(self, tmp_path, capsys, name):

@@ -1,10 +1,13 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import bwinr
 from bwinr import (
     Activation,
     ImageGrid,
@@ -488,7 +491,7 @@ class TestSingleDecomposition:
     def test_feature_gram(self, eigvalsh_calls):
         p = init_network(mlp_specs([1, 6, 1], Activation("bwrelu", 1.0)), 0)
         trace = forward(p, np.linspace(-1, 1, 50).reshape(-1, 1))[1]
-        feature_gram_condition(trace, 0)
+        feature_gram_condition(trace.post[0])
         assert eigvalsh_calls == [(6, 6)]
 
 
@@ -504,7 +507,7 @@ class TestFeatureGram:
         n = 400
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((n, 4)))
-        cond = feature_gram_condition(forward(p, q * np.sqrt(n))[1], 0)
+        cond = feature_gram_condition(forward(p, q * np.sqrt(n))[1].post[0])
         assert cond.value == pytest.approx(1.0, rel=1e-9)
         assert not cond.floored
 
@@ -514,7 +517,7 @@ class TestFeatureGram:
         p.weights[0][:] = 1.0
         p.biases[0][:] = 0.0
         X = np.linspace(-1, 1, 200).reshape(-1, 1)
-        cond = feature_gram_condition(forward(p, X)[1], 0)
+        cond = feature_gram_condition(forward(p, X)[1].post[0])
         assert cond.floored
 
     def test_dyadic_network_matches_integral_gram(self):
@@ -537,7 +540,7 @@ class TestFeatureGram:
         p.weights[1] = np.diag([2.0 ** (j / 2.0) for j, _ in system])
         p.biases[1] = np.zeros(K)
         X = np.linspace(-1.0, 1.0, 8001).reshape(-1, 1)
-        cond = feature_gram_condition(forward(p, X)[1], 1)
+        cond = feature_gram_condition(forward(p, X)[1].post[1])
         exact = build_dyadic_gram(J).condition.value
         assert cond.value == pytest.approx(exact, rel=0.10)
 
@@ -546,22 +549,27 @@ class TestFeatureGram:
         p = init_network(mlp_specs([1, 3, 1], Activation("relu")), 0)
         p.weights[0][:] = 0.0
         p.biases[0][:] = -1.0
-        cond = feature_gram_condition(forward(p, np.linspace(-1, 1, 9)[:, None])[1], 0)
+        cond = feature_gram_condition(forward(p, np.linspace(-1, 1, 9)[:, None])[1].post[0])
         assert cond == (1.0 / COND_FLOOR_REL, True)
 
-    def test_output_layer_rejected(self):
-        p = init_network(mlp_specs([1, 4, 1], Activation("bwrelu", 1.0)), 0)
-        with pytest.raises(InvalidInputError):
-            feature_gram_condition(forward(p, np.zeros((3, 1)))[1], 1)
-
-    def test_layer_the_trace_does_not_hold_rejected(self):
-        # With three uniform hidden layers forward drops layer 0 (backward
-        # rebuilds it); the later layers are held and still read.
+    def test_dropped_layer_and_vector_are_shape_errors(self):
+        # With three uniform hidden layers forward drops layer 0 (None in
+        # the trace; backward rebuilds it); the later layers are held.
         p = init_network(mlp_specs([1, 4, 4, 4, 1], Activation("bwrelu", 1.0)), 0)
         trace = forward(p, np.linspace(-1, 1, 20)[:, None])[1]
-        with pytest.raises(InvalidInputError, match="layer 0 is not in the trace"):
-            feature_gram_condition(trace, 0)
-        feature_gram_condition(trace, 2)
+        for features in (trace.post[0], trace.post[2][:, 0]):
+            with pytest.raises(ShapeError, match="features must be an"):
+                feature_gram_condition(features)
+        feature_gram_condition(trace.post[2])
+
+    def test_column_subset(self):
+        # A caller reads live columns by slicing: dropping a dead column
+        # lifts the floor.
+        X = np.linspace(-1, 1, 50)[:, None]
+        feats = np.hstack([X, X**2, np.zeros_like(X)])
+        assert feature_gram_condition(feats).floored
+        cond = feature_gram_condition(feats[:, :2])
+        assert not cond.floored and cond.value > 1.0
 
 
 class TestPsnr:
@@ -592,3 +600,21 @@ class TestPsnr:
     def test_reference_range_enforced(self):
         with pytest.raises(InvalidInputError):
             psnr(ImageGrid(np.full((2, 2), 1.5)), ImageGrid(np.zeros((2, 2))))
+
+
+def _trace_reads(path):
+    """Lines of every ``.post`` or ``.deriv`` attribute in ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("post", "deriv")]
+
+
+def test_diagnostics_reads_no_trace_layout():
+    # network owns the trace's layout; diagnostics takes feature arrays.
+    assert _trace_reads(Path(bwinr.__file__).parent / "diagnostics.py") == []
+
+
+def test_trace_guard_sees_a_read():
+    # training reads the trace (and hands the last hidden layer's features
+    # over), so an empty result above is not a scan that finds nothing.
+    assert _trace_reads(Path(bwinr.__file__).parent / "training.py")

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 import bwinr
-from bwinr import Activation, ImageGrid, ImageIOError, init_network, mlp_specs
+from bwinr import (
+    Activation, ImageGrid, ImageIOError, InvalidInputError, ShapeError, init_network, mlp_specs,
+)
 from bwinr.cli import read_table, write_table
 
 SRC = Path(bwinr.__file__).parent
 FILE_METHODS = {"open", "read_bytes", "write_bytes", "read_text", "write_text", "mkdir"}
 
 READERS = [bwinr.load_image, bwinr.load_checkpoint, read_table]
+CONTENT_ERRORS = [ImageIOError, InvalidInputError, ShapeError]  # READERS'
 WRITERS = {
     "save_image": lambda path: bwinr.save_image(ImageGrid(np.zeros((2, 2))), path),
     "save_checkpoint": lambda path: bwinr.save_checkpoint(
@@ -48,6 +51,19 @@ def test_unreadable_path_is_io_error(tmp_path, reader, kind):
     shown = repr(str(path)) if kind == "null-byte" else str(path)
     with pytest.raises(ImageIOError, match=re.escape(shown)):
         reader(path)
+
+
+@pytest.mark.parametrize(
+    "reader, error", zip(READERS, CONTENT_ERRORS), ids=[f.__name__ for f in READERS]
+)
+def test_malformed_content_names_an_unprintable_path_by_repr(tmp_path, reader, error):
+    path = tmp_path / "bad\nname"
+    path.write_bytes(b"a,b\n1\n")  # no PGM, no checkpoint, a ragged CSV
+    with pytest.raises(error) as info:
+        reader(path)
+    assert type(info.value) is error
+    assert "\n" not in str(info.value)
+    assert str(info.value).startswith(f"{str(path)!r}: ")
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))
