@@ -143,12 +143,8 @@ def write_table(path, header, rows):
 
 def read_table(path):
     """Parse an ASCII CSV by ``training.parse_table`` into (header, rows);
-    malformed content is ShapeError naming the path by ``show_path``."""
-    data = read_file(path)
-    try:
-        return parse_table(data.decode("ascii"))
-    except ValueError as exc:  # parse_table's ShapeError, or UnicodeDecodeError
-        raise ShapeError(f"{show_path(path)}: {exc}") from exc
+    ``read_file`` reports malformed content as ShapeError naming the path."""
+    return read_file(path, lambda data: parse_table(data.decode("ascii")), ShapeError)
 
 
 def cmd_train(args):

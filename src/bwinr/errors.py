@@ -6,8 +6,9 @@ subclasses) -> 3, any other package error -> 1. ``read_file``,
 ``write_file`` and ``make_dir`` are the package's only file access; they
 report any OSError, or a path the OS call rejects (a null byte), as
 ImageIOError naming the path once, with the OS's reason (``strerror``)
-when there is one. Every message naming a path, the readers' content
-errors too, names it by ``show_path``: by its ``repr`` if unprintable.
+when there is one; ``read_file`` also reports a ValueError of the
+reader's parser as the reader's own class. Every message naming a path
+names it by ``show_path``: by its ``repr`` if unprintable.
 """
 
 from contextlib import contextmanager
@@ -81,10 +82,15 @@ def _file_boundary(path, action=""):
         raise ImageIOError(f"{action}{show_path(path)}: {reason}") from exc
 
 
-def read_file(path):
-    """The bytes of ``path``; a failure to open or read it is ImageIOError."""
+def read_file(path, parse, error):
+    """``parse`` of the bytes of ``path``. A failure to open or read it is
+    ImageIOError; a ValueError from ``parse`` is ``error`` naming the path."""
     with _file_boundary(path), open(path, "rb") as fh:
-        return fh.read()
+        data = fh.read()
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise error(f"{show_path(path)}: {exc}") from exc
 
 
 def write_file(path, data):

@@ -4,48 +4,36 @@ Binary PGM (P5, 8-bit) is the one image format: write + read round-trips
 exactly.
 """
 
+import re
+
 import numpy as np
 
-from .errors import ImageIOError, read_file, show_path, write_file
+from .errors import ImageIOError, read_file, write_file
 from .operators import ImageGrid
 
 
-def _header_int(data, pos):
-    """The header number after byte ``pos`` and the position past it,
-    skipping whitespace and '#' comment lines before it."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < n and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ValueError(f"truncated PGM header at byte {start}")
-    try:
-        return int(data[start:pos]), pos
-    except ValueError as exc:
-        raise ValueError(f"malformed PGM header near byte {start}: {exc}") from None
+# P5, then width, height and maxval as ASCII digits, separated by whitespace
+# and by '#' comments that run to a line break, then one whitespace byte. A
+# comment must end at its line break, so a run of '#' cannot backtrack
+# exponentially. The '-' only lets a negative size reach its own message.
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*[\r\n])+".join(
+    [rb"P5", rb"(-?[0-9]+)", rb"(-?[0-9]+)", rb"([0-9]+)\s"]
+))
 
 
 def _parse_pgm(data):
     """The (height, width) uint8 pixels of P5 ``data``; bad content is ValueError."""
     if data[:2] != b"P5":
         raise ValueError("not a binary PGM (missing P5 magic)")
-    width, pos = _header_int(data, 2)
-    height, pos = _header_int(data, pos)
-    maxval, pos = _header_int(data, pos)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError("malformed PGM header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise ValueError(f"PGM dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end()
     expected = width * height
     payload = data[pos:pos + expected]
     if len(payload) != expected:
@@ -55,13 +43,9 @@ def _parse_pgm(data):
 
 def load_image(path):
     """Load an 8-bit grayscale binary PGM (P5), mapping bytes to [0, 1].
-    Malformed content is ImageIOError naming the path by ``show_path``."""
-    data = read_file(path)
-    try:
-        pixels = _parse_pgm(data)
-    except ValueError as exc:
-        raise ImageIOError(f"{show_path(path)}: {exc}") from exc
-    return ImageGrid(pixels.astype(float) / 255.0)
+    Malformed content is ImageIOError naming the path; the header grammar
+    is ``_PGM_HEADER``."""
+    return ImageGrid(read_file(path, _parse_pgm, ImageIOError).astype(float) / 255.0)
 
 
 def save_image(img, path):

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import WAVELET_SHIFTS, Activation, apply, times_derivative
-from .errors import (
-    ConfigurationError, InvalidInputError, ShapeError, read_file, show_path, write_file,
-)
+from .errors import ConfigurationError, InvalidInputError, ShapeError, read_file, write_file
 
 CHECKPOINT_MAGIC = "BWINR2"
 
@@ -280,16 +278,26 @@ def _fields(lines, pos, tag):
     return tokens[1:]
 
 
-def _parse_checkpoint(lines):
+def _number(token, kind=int):
+    """``kind(token)``, if ``token`` is in the form ``save_checkpoint`` writes:
+    the value's ``repr``, and plain ASCII digits for an int."""
+    value = kind(token)
+    if repr(value) != token or kind is int and not token.isdigit():
+        raise InvalidInputError(f"malformed number {token!r}")
+    return value
+
+
+def _parse_checkpoint(data):
+    lines = data.decode("ascii").splitlines()
     if lines[:1] != [CHECKPOINT_MAGIC]:
         raise InvalidInputError(f"not a {CHECKPOINT_MAGIC} checkpoint")
     (seed,) = _fields(lines, 1, "seed")
     (n_layers,) = _fields(lines, 2, "layers")
     specs = []
-    for i in range(int(n_layers)):
+    for i in range(_number(n_layers)):
         in_dim, out_dim, kind, scale = _fields(lines, 3 + i, "layer")
-        scale = None if scale == "-" else float(scale)
-        specs.append(LayerSpec(int(in_dim), int(out_dim), Activation(kind, scale)))
+        scale = None if scale == "-" else _number(scale, float)
+        specs.append(LayerSpec(_number(in_dim), _number(out_dim), Activation(kind, scale)))
     specs = _validate_specs(specs)
     pos = 3 + len(specs)
     (data,) = _fields(lines, pos, "data")
@@ -303,16 +311,13 @@ def _parse_checkpoint(lines):
         raise InvalidInputError(f"data: expected {ends[-1]} finite float64 values")
     arrays = [v.reshape(shape) for v, shape in zip(np.split(values, ends[:-1]), shapes)]
     n = len(specs)
-    return NetworkParams(specs, arrays[:n], arrays[n:], int(seed))
+    return NetworkParams(specs, arrays[:n], arrays[n:], _number(seed))
 
 
 def load_checkpoint(path):
     """Read a ``save_checkpoint`` file: an unreadable file is ImageIOError,
-    malformed content InvalidInputError. ``Activation`` is the one check
-    on a layer's kind and scale; its ConfigurationError is reported here
-    as InvalidInputError naming the path by ``show_path``."""
-    data = read_file(path)
-    try:
-        return _parse_checkpoint(data.decode("ascii").splitlines())
-    except ValueError as exc:  # also ConfigurationError, UnicodeDecodeError, binascii.Error
-        raise InvalidInputError(f"{show_path(path)}: {exc}") from exc
+    malformed content InvalidInputError naming the path. ``Activation`` is
+    the one check on a layer's kind and scale; its ConfigurationError, like
+    a UnicodeDecodeError or binascii.Error, is a ValueError that
+    ``read_file`` reports as InvalidInputError."""
+    return read_file(path, _parse_checkpoint, InvalidInputError)

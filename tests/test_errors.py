@@ -42,6 +42,23 @@ def _file_calls(path):
     return calls
 
 
+def _content_error_rules(node):
+    """(line, kind) of every try statement and show_path call under ``node``."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Try):
+            found.append((sub.lineno, "try"))
+        elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "show_path":
+            found.append((sub.lineno, "show_path"))
+    return found
+
+
+def _function(path, name):
+    """The ast of the top-level function ``name`` in ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return next(node for node in tree.body if getattr(node, "name", None) == name)
+
+
 @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("kind", ["missing", "directory", "null-byte"])
 def test_unreadable_path_is_io_error(tmp_path, reader, kind):
@@ -86,3 +103,18 @@ def test_guard_sees_the_boundary():
     # The scan finds the two opens and the mkdir it allows, so an empty
     # result elsewhere is not a scan that finds nothing.
     assert [name for _, name in _file_calls(SRC / "errors.py")] == ["open", "open", "mkdir"]
+
+
+def test_only_read_file_names_the_path_of_a_content_error():
+    # read_file turns a parser's ValueError into the reader's class naming
+    # the path; the readers hold no try of their own and no show_path call.
+    scanned = [ast.parse((SRC / name).read_text()) for name in ("images.py", "network.py")]
+    scanned.append(_function(SRC / "cli.py", "read_table"))
+    assert not [found for node in scanned for found in _content_error_rules(node)]
+
+
+def test_content_error_guard_sees_read_file():
+    # The scan finds the try and the show_path call in read_file, so an empty
+    # result above is not a scan that finds nothing.
+    rules = _content_error_rules(_function(SRC / "errors.py", "read_file"))
+    assert [kind for _, kind in rules] == ["try", "show_path"]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,32 @@ class TestLoadPgm:
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ImageIOError):
             load_image(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n+1_0 1\n255\n", b"P5\n10 1\n+255\n", b"P510 1 255\n",
+    ], ids=["width-plus-underscore", "maxval-plus", "no-separator-after-magic"])
+    def test_header_number_not_plain_digits_is_malformed(self, tmp_path, header):
+        # int() reads +1_0 as 10 and +255 as 255; a PGM number is plain digits.
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(10))
+        with pytest.raises(ImageIOError) as info:
+            load_image(path)
+        assert str(info.value) == f"{path}: malformed PGM header"
+
+    def test_comment_right_after_a_number(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5 2#c\n1 255\n" + bytes([10, 20]))
+        assert np.array_equal(load_image(path).pixels, [[10 / 255, 20 / 255]])
+
+    @pytest.mark.parametrize("header", [b"P5 " + b"#" * 64, b"P5" + b" " * 10**5],
+                             ids=["run-of-hashes", "run-of-whitespace"])
+    def test_pathological_header_is_rejected_fast(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header)
+        start = time.perf_counter()
+        with pytest.raises(ImageIOError, match="malformed PGM header"):
+            load_image(path)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSavePgm:

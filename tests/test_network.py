@@ -565,7 +565,15 @@ class TestCheckpoint:
         ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu -3.0"),
         ("layer 2 3 bwrelu 3.0", "layer 2 3 relu 3.0"),
         ("data ", "tensor "),
-    ], ids=["scale-inf", "scale-nan", "scale-negative", "relu-scale", "data-tag"])
+        # header numbers that int() or float() reads but save_checkpoint never writes
+        ("seed 0", "seed -1"),
+        ("layers 2", "layers +2"),
+        ("layer 2 3", "layer 2 0_3"),
+        ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu 1_0"),
+        ("layer 2 3 bwrelu 3.0", "layer 2 3 bwrelu 1e0"),
+    ], ids=["scale-inf", "scale-nan", "scale-negative", "relu-scale", "data-tag",
+            "seed-negative", "layers-plus", "dim-underscore", "scale-underscore",
+            "scale-exponent"])
     def test_bad_structure_line_rejected(self, tmp_path, prefix, bad):
         p = init_network(mlp_specs([2, 3, 1], BW3), 0)
         path = tmp_path / "net.txt"
@@ -576,6 +584,14 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError):
             load_checkpoint(path)
+
+    def test_number_not_as_written_names_the_path_and_token(self, tmp_path):
+        path = tmp_path / "net.txt"
+        save_checkpoint(init_network(mlp_specs([2, 3, 1], BW3), 0), path)
+        path.write_text(path.read_text().replace("bwrelu 3.0", "bwrelu 1_0"))  # float(): 10.0
+        with pytest.raises(InvalidInputError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: malformed number '1_0'"
 
     def test_trailing_content_rejected(self, tmp_path):
         p = init_network(mlp_specs([1, 2, 1], BW3), 0)
