@@ -4,8 +4,9 @@ The activation psi is a fixed linear combination of seven shifted ReLUs,
 supported on (0, 3). This script evaluates it, checks the two structural
 identities that make wavelet networks "still ReLU networks":
 
-* expanding one wavelet neuron yields seven ReLU neurons that sum back to
-  the neuron exactly;
+* expanding a wavelet network yields a plain ReLU network, seven ReLU
+  neurons per wavelet neuron, that ``forward`` runs to the same outputs,
+  for one neuron and for a deep net alike;
 * 24 * psi(x/4) equals relu(x) on [-1, 1], so nothing representable by a
   ReLU net on the box is lost.
 
@@ -18,7 +19,13 @@ import numpy as np
 from bwinr import (
     WAVELET_COEFFS,
     WAVELET_SHIFTS,
+    Activation,
+    LayerSpec,
+    NetworkParams,
     expand_to_relus,
+    forward,
+    init_network,
+    mlp_specs,
     psi,
     psi_prime,
 )
@@ -37,12 +44,18 @@ def main():
 
     rng = np.random.default_rng(0)
     w, b, v, c = rng.standard_normal(2), 0.3, rng.standard_normal(1), 2.0
-    atoms = expand_to_relus(w, b, v, c)
+    specs = (LayerSpec(2, 1, Activation("bwrelu", c)), LayerSpec(1, 1, Activation("identity")))
+    neuron = NetworkParams(specs, [w[None, :], v[:, None]], [np.array([-b]), np.zeros(1)], 0)
     X = rng.uniform(-1, 1, (2000, 2))
-    neuron = v[0] * psi(c * (X @ w - b))
-    total = sum(a.output[0] * np.maximum(X @ a.weight - a.bias, 0.0) for a in atoms)
-    print(f"\nwavelet neuron vs sum of its 7 ReLU atoms: "
-          f"max |difference| = {np.abs(total - neuron).max():.2e}")
+    direct = v[0] * psi(c * (X @ w - b))
+    relus, _ = forward(expand_to_relus(neuron), X)
+    print(f"\nwavelet neuron vs its 7-ReLU expansion:    "
+          f"max |difference| = {np.abs(relus[:, 0] - direct).max():.2e}")
+    deep = init_network(mlp_specs([2, 16, 16, 16, 1], Activation("bwrelu", 3.0)), 0)
+    expanded = expand_to_relus(deep)
+    widths = [spec.out_dim for spec in expanded.specs[:-1]]
+    diff = np.abs(forward(deep, X)[0] - forward(expanded, X)[0]).max()
+    print(f"16x3 wavelet net (c = 3) vs its {widths} ReLU net: max |difference| = {diff:.2e}")
 
     x = np.linspace(-1, 1, 10001)
     err = np.abs(24.0 * psi(x / 4.0) - np.maximum(x, 0.0)).max()

@@ -13,7 +13,6 @@ from .activations import (
     WAVELET_COEFFS,
     WAVELET_SHIFTS,
     apply,
-    expand_to_relus,
     positional_encoding,
     psi,
     psi_prime,
@@ -53,6 +52,7 @@ from .network import (
     LayerSpec,
     NetworkParams,
     backward,
+    expand_to_relus,
     forward,
     init_network,
     load_checkpoint,

@@ -2,9 +2,9 @@
 
 The centerpiece is the second-order B-spline wavelet ``psi``: a fixed
 linear combination of seven shifted ReLUs, compactly supported on (0, 3).
-Networks built on it therefore remain exactly representable as constrained
-ReLU networks (seven ReLU neurons per wavelet neuron), which is what
-``expand_to_relus`` materializes. ``psi``, ``psi_prime`` and the BW-ReLU
+A whole network on it is exactly a constrained ReLU network, seven ReLU
+neurons per wavelet neuron, which ``network.expand_to_relus`` builds for
+``network.forward`` to run. ``psi``, ``psi_prime`` and the BW-ReLU
 layers all run one segment-table kernel, so they agree bitwise.
 
 Baselines: plain ReLU, sine, real Gaussian, plus identity for output
@@ -199,31 +199,6 @@ def apply(activation, z):
         return np.sin(u, out=z), c * np.cos(u)
     g = np.exp(-(u * u), out=z)  # gaussian, the last kind Activation admits
     return g, -2.0 * c * u * g
-
-
-@dataclass(frozen=True)
-class ReluNeuron:
-    """One ReLU atom of an expanded wavelet neuron: output * relu(w.x - b)."""
-
-    weight: np.ndarray
-    bias: float
-    output: np.ndarray
-
-
-def expand_to_relus(w, b, v, c):
-    """Expand one wavelet neuron v * psi(c*(w.x - b)) into 7 ReLU neurons.
-
-    Atom i computes coeff_i * v * relu((c*w).x - (c*b + shift_i)); the sum
-    of the seven atoms reproduces the wavelet neuron for every x.
-    ``Activation`` checks ``c`` as it does every bwrelu scale.
-    """
-    Activation("bwrelu", c)
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return [
-        ReluNeuron(weight=c * w, bias=c * b + shift, output=coeff * v)
-        for coeff, shift in zip(WAVELET_COEFFS, WAVELET_SHIFTS)
-    ]
 
 
 # Largest level count whose top frequency pi * 2^(levels - 1) is finite.

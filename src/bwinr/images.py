@@ -12,12 +12,12 @@ from .errors import ImageIOError, read_file, write_file
 from .operators import ImageGrid
 
 
-# P5, then width, height and maxval as ASCII digits, separated by whitespace
-# and by '#' comments that run to a line break, then one whitespace byte. A
-# comment must end at its line break, so a run of '#' cannot backtrack
-# exponentially. The '-' only lets a negative size reach its own message.
+# P5, then width, height and maxval as 1-640 ASCII digits (int() converts 640
+# under any limit), separated by whitespace and by '#' comments that end at a
+# line break, so a run of '#' cannot backtrack exponentially, then one
+# whitespace byte. The '-' only lets a negative size reach its own message.
 _PGM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*[\r\n])+".join(
-    [rb"P5", rb"(-?[0-9]+)", rb"(-?[0-9]+)", rb"([0-9]+)\s"]
+    [rb"P5", rb"(-?[0-9]{1,640})", rb"(-?[0-9]{1,640})", rb"([0-9]{1,640})\s"]
 ))
 
 

@@ -12,12 +12,14 @@ round-trip exactly; see ``save_checkpoint``.
 """
 
 import base64
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import WAVELET_SHIFTS, Activation, apply, times_derivative
+from .activations import WAVELET_COEFFS, WAVELET_SHIFTS, Activation, apply, times_derivative
 from .errors import ConfigurationError, InvalidInputError, ShapeError, read_file, write_file
+from .errors import UnsupportedActivationError
 
 CHECKPOINT_MAGIC = "BWINR2"
 
@@ -251,6 +253,32 @@ def backward(params, trace, dY):
     return Gradients(weights=d_weights, biases=d_biases)
 
 
+def expand_to_relus(params):
+    """The plain-ReLU net, sharing no array with ``params``, that computes
+    what ``params``'s net computes. A bwrelu layer of width w and scale c
+    becomes a relu layer of width 7w, neuron-major: atom j of neuron k is
+    relu(c*z_k - s_j), and the next layer's weights ``kron(W, WAVELET_COEFFS)``
+    sum the atoms into psi(c*z_k). relu and identity layers pass through;
+    other kinds, and a bwrelu output layer, are UnsupportedActivationError."""
+    if params.specs[-1].activation.kind == "bwrelu":
+        raise UnsupportedActivationError("a bwrelu output layer has no layer to sum its atoms")
+    specs, weights, biases = [], [], []
+    absorb = False  # the previous layer was bwrelu
+    for spec, w, b in zip(params.specs, params.weights, params.biases):
+        act = spec.activation
+        if act.kind not in ("relu", "bwrelu", "identity"):
+            raise UnsupportedActivationError(f"a {act.kind} layer has no ReLU expansion")
+        w = np.kron(w, WAVELET_COEFFS[None, :]) if absorb else w.copy()
+        absorb = act.kind == "bwrelu"
+        if absorb:
+            w, b = np.repeat(act.scale * w, 7, axis=0), act.scale * b[:, None] - WAVELET_SHIFTS
+            act = Activation("relu")
+        specs.append(LayerSpec(w.shape[1], w.shape[0], act))
+        weights.append(w)
+        biases.append(b.ravel().copy())
+    return NetworkParams(tuple(specs), weights, biases, params.seed)
+
+
 def _format_scale(activation):
     return "-" if activation.scale is None else repr(float(activation.scale))
 
@@ -280,10 +308,11 @@ def _fields(lines, pos, tag):
 
 def _number(token, kind=int):
     """``kind(token)``, if ``token`` is in the form ``save_checkpoint`` writes:
-    the value's ``repr``, and plain ASCII digits for an int."""
-    value = kind(token)
+    the value's ``repr``, plain ASCII digits for an int, and at most 640
+    characters (``int`` converts 640 digits under any limit setting)."""
+    value = kind(token) if len(token) <= 640 else None
     if repr(value) != token or kind is int and not token.isdigit():
-        raise InvalidInputError(f"malformed number {token!r}")
+        raise InvalidInputError(f"malformed number {reprlib.repr(token)}")
     return value
 
 

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, one printed line each.
 
 Run as ``pytest tests/test_acceptance.py -v -s``. The gate holds criteria
-1-7, 10 and 11 (there are no criteria 8 and 9) and runs in about 10 s on
+1-7 and 10-12 (there are no criteria 8 and 9) and runs in about 10 s on
 two cores, most of it in the dyadic Gram builds and the univariate fits.
 """
 
@@ -17,6 +17,7 @@ from bwinr import (
     build_relu_gram,
     Downsample,
     dyadic_system,
+    expand_to_relus,
     forward,
     grad_check,
     init_network,
@@ -28,6 +29,7 @@ from bwinr import (
     univariate_benchmark,
 )
 from bwinr.cli import main as cli_main
+from expansion_bound import expansion_error_bound
 
 
 def report(criterion, ok, detail, elapsed=None):
@@ -264,4 +266,30 @@ def test_criterion_11_command_determinism(tmp_path):
         11, cond_same and fit_same,
         "repeated runs with fixed seeds produce bitwise-identical outputs "
         "(conditioning CSVs; fit log/vnorm/recon/checkpoint)", elapsed,
+    )
+
+
+# (hidden layers, width, scale), all with c > 1 so that a dropped scale shows.
+# The bound grows about as (8/3 c ||W||_inf)^depth, so the deeper nets are
+# narrower or less scaled: each size's bound stays <= 1e-6.
+EXPANSION_SIZES = [(1, 32, 5.0), (2, 32, 5.0), (3, 32, 2.0), (4, 8, 2.0)]
+
+
+def test_criterion_12_network_equals_its_relu_expansion():
+    t0 = time.perf_counter()
+    worst_err, worst_bound, ok = 0.0, 0.0, True
+    for depth, width, c in EXPANSION_SIZES:
+        for seed in range(3):
+            p = init_network(mlp_specs([2] + [width] * depth + [1], Activation("bwrelu", c)), seed)
+            X = np.random.default_rng(seed).uniform(-1.0, 1.0, (4096, 2))
+            err = float(np.abs(forward(p, X)[0] - forward(expand_to_relus(p), X)[0]).max())
+            bound = expansion_error_bound(p, X)
+            ok = ok and err <= bound <= 1e-6
+            worst_err, worst_bound = max(worst_err, err), max(worst_bound, bound)
+    elapsed = time.perf_counter() - t0
+    report(
+        12, ok,
+        f"BW-ReLU net vs forward of its ReLU expansion: max error {worst_err:.1e} "
+        f"<= first-order bound (max {worst_bound:.1e}) <= 1e-6, 3 seeds x 4 sizes",
+        elapsed,
     )

@@ -7,11 +7,15 @@ from scipy.integrate import quad
 from bwinr import (
     Activation,
     ConfigurationError,
+    LayerSpec,
+    NetworkParams,
     ShapeError,
+    UnsupportedActivationError,
     WAVELET_COEFFS,
     WAVELET_SHIFTS,
     apply,
     expand_to_relus,
+    forward,
     positional_encoding,
     psi,
     psi_prime,
@@ -168,7 +172,7 @@ class TestApply:
         with pytest.raises(ConfigurationError):
             Activation("relu", 2.0)
         for kind in ("bwrelu", "sine", "gaussian"):
-            for scale in (np.inf, np.nan):
+            for scale in (0.0, np.inf, np.nan):
                 with pytest.raises(ConfigurationError, match="finite positive scale"):
                     Activation(kind, scale)
 
@@ -307,6 +311,14 @@ class TestOneEvaluationPath:
         assert dense == np.take(derivs.table, derivs.codes)
 
 
+def one_neuron(w, b, v, c):
+    """The net x -> v * psi(c*(w.x - b)): one bwrelu neuron, identity output."""
+    w, v = np.asarray(w, dtype=float), np.asarray(v, dtype=float)
+    specs = (LayerSpec(w.size, 1, Activation("bwrelu", c)),
+             LayerSpec(1, v.size, Activation("identity")))
+    return NetworkParams(specs, [w[None, :], v[:, None]], [np.array([-b]), np.zeros(v.size)], 0)
+
+
 class TestExpandToRelus:
     def test_reproduces_wavelet_neuron(self):
         rng = np.random.default_rng(5)
@@ -314,29 +326,23 @@ class TestExpandToRelus:
         b = 0.4
         v = rng.standard_normal(2)
         c = 2.5
-        atoms = expand_to_relus(w, b, v, c)
-        assert len(atoms) == 7
+        expanded = expand_to_relus(one_neuron(w, b, v, c))
+        assert expanded.specs[0].out_dim == 7
         X = rng.uniform(-2, 2, (1000, 3))
         expected = v[None, :] * psi(c * (X @ w - b))[:, None]
-        total = np.zeros_like(expected)
-        for atom in atoms:
-            total += atom.output[None, :] * np.maximum(
-                X @ atom.weight - atom.bias, 0.0
-            )[:, None]
+        total, _ = forward(expanded, X)
         assert np.abs(total - expected).max() <= 1e-12
 
     def test_zero_output_weight(self):
-        atoms = expand_to_relus(np.array([1.0]), 0.0, np.array([0.0]), 1.0)
-        assert all(np.all(a.output == 0.0) for a in atoms)
+        expanded = expand_to_relus(one_neuron([1.0], 0.0, [0.0], 1.0))
+        assert np.all(expanded.weights[1] == 0.0)
 
     def test_relu_representation_on_bounded_domain(self):
         # 24 psi(x/4) = relu(x) on [-1, 1], realized through the atoms
-        atoms = expand_to_relus(np.array([1.0]), 0.0, np.array([24.0]), 0.25)
+        expanded = expand_to_relus(one_neuron([1.0], 0.0, [24.0], 0.25))
         x = np.linspace(-1.0, 1.0, 2001)
-        total = np.zeros_like(x)
-        for atom in atoms:
-            total += atom.output[0] * np.maximum(x * atom.weight[0] - atom.bias, 0.0)
-        assert np.abs(total - np.maximum(x, 0.0)).max() <= 1e-12
+        total, _ = forward(expanded, x[:, None])
+        assert np.abs(total[:, 0] - np.maximum(x, 0.0)).max() <= 1e-12
 
     def test_matches_apply(self):
         rng = np.random.default_rng(9)
@@ -344,23 +350,19 @@ class TestExpandToRelus:
         b = -0.3
         v = np.array([1.7])
         c = 4.0
-        atoms = expand_to_relus(w, b, v, c)
+        expanded = expand_to_relus(one_neuron(w, b, v, c))
         X = rng.uniform(-1, 1, (500, 2))
         vals, _ = apply(Activation("bwrelu", c), X @ w - b)
         expected = v[0] * vals
-        total = sum(
-            a.output[0] * np.maximum(X @ a.weight - a.bias, 0.0) for a in atoms
-        )
-        assert np.abs(total - expected).max() <= 1e-12
+        total, _ = forward(expanded, X)
+        assert np.abs(total[:, 0] - expected).max() <= 1e-12
 
-    def test_invalid_scale(self):
-        with pytest.raises(ConfigurationError):
-            expand_to_relus(np.ones(2), 0.0, np.ones(1), 0.0)
-
-    @pytest.mark.parametrize("c", [np.inf, np.nan], ids=["inf", "nan"])
-    def test_non_finite_scale_rejected(self, c):
-        with pytest.raises(ConfigurationError):
-            expand_to_relus(np.ones(2), 0.0, np.ones(1), c)
+    def test_bwrelu_output_layer_is_unsupported(self):
+        # No layer follows to take the atom coefficients.
+        p = NetworkParams((LayerSpec(2, 3, Activation("bwrelu", 1.0)),),
+                          [np.ones((3, 2))], [np.zeros(3)], 0)
+        with pytest.raises(UnsupportedActivationError, match="output layer"):
+            expand_to_relus(p)
 
 
 class TestPositionalEncoding:

@@ -13,6 +13,7 @@ from bwinr import (
     ImageGrid,
     InvalidInputError,
     LayerSpec,
+    NetworkParams,
     ShapeError,
     UnsupportedActivationError,
     build_dyadic_gram,
@@ -81,9 +82,12 @@ class TestVariationNormShallow:
         w = rng.standard_normal(3)
         v = rng.standard_normal(2)
         c = 2.7
-        atoms = expand_to_relus(w, 0.3, v, c)
-        atom_total = sum(
-            np.linalg.norm(a.output) * np.linalg.norm(a.weight) for a in atoms
+        specs = (LayerSpec(3, 1, Activation("bwrelu", c)), LayerSpec(1, 2, Activation("identity")))
+        expanded = expand_to_relus(
+            NetworkParams(specs, [w[None, :], v[:, None]], [np.array([-0.3]), np.zeros(2)], 0)
+        )
+        atom_total = variation_norm_shallow(
+            expanded.weights[0], expanded.weights[1], Activation("relu")
         )
         direct = variation_norm_shallow(
             w[None, :], v[:, None], Activation("bwrelu", c)

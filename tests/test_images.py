@@ -61,6 +61,15 @@ class TestLoadPgm:
             load_image(path)
         assert str(info.value) == f"{path}: malformed PGM header"
 
+    def test_header_number_longer_than_int_converts_is_malformed(self, tmp_path):
+        # int() refuses more than 4300 digits with its own hint; the header
+        # takes at most 640, so the message stays the package's one line.
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n" + bytes(10))
+        with pytest.raises(ImageIOError) as info:
+            load_image(path)
+        assert str(info.value) == f"{path}: malformed PGM header"
+
     def test_comment_right_after_a_number(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P5 2#c\n1 255\n" + bytes([10, 20]))

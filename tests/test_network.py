@@ -133,17 +133,8 @@ class TestForward:
         xs = np.linspace(-1, 1, 21)
         X = np.array([[a, b] for a in xs for b in xs])
         Y, _ = forward(p, X)
-        # layer convention z = w.x + b, so the neuron form w.x - (-b)
-        total = np.full(X.shape[0], p.biases[1][0])
-        for k in range(5):
-            atoms = expand_to_relus(
-                p.weights[0][k], -p.biases[0][k], p.weights[1][:, k], c
-            )
-            for atom in atoms:
-                total += atom.output[0] * np.maximum(
-                    X @ atom.weight - atom.bias, 0.0
-                )
-        assert np.abs(total - Y[:, 0]).max() <= 1e-10
+        total, _ = forward(expand_to_relus(p), X)
+        assert np.abs(total - Y).max() <= 1e-10
 
     def test_batch_order_invariance(self):
         p = init_network(mlp_specs([2, 12, 1], BW3), 2)
@@ -592,6 +583,18 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: malformed number '1_0'"
+
+    def test_number_longer_than_int_converts_is_malformed(self, tmp_path):
+        # int() refuses more than 4300 digits with its own hint; the message
+        # is the package's, with the token shortened.
+        path = tmp_path / "net.txt"
+        save_checkpoint(init_network(mlp_specs([2, 3, 1], BW3), 0), path)
+        path.write_text(path.read_text().replace("seed 0", "seed " + "1" * 5000))
+        with pytest.raises(InvalidInputError) as info:
+            load_checkpoint(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: malformed number '111")
+        assert len(message) < len(str(path)) + 60
 
     def test_trailing_content_rejected(self, tmp_path):
         p = init_network(mlp_specs([1, 2, 1], BW3), 0)
