@@ -11,6 +11,7 @@ Baselines: plain ReLU, sine, real Gaussian, plus identity for output
 layers and Fourier positional encoding for the ReLU+PE baseline.
 """
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,7 @@ class Activation:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(
-                f"unknown activation kind {self.kind!r}; expected one of {KINDS}"
+                f"unknown activation kind {reprlib.repr(self.kind)}; expected one of {KINDS}"
             )
         if self.kind in _SCALED_KINDS:
             if self.scale is None or not 0 < self.scale < np.inf:

@@ -16,7 +16,7 @@ write bitwise-identical CSVs.
 """
 
 import argparse
-import re
+import reprlib
 import sys
 from dataclasses import replace
 
@@ -44,83 +44,84 @@ from .network import save_checkpoint
 from .operators import ImageGrid, make_task
 from .training import TrainConfig, format_table, parse_table, train
 
-# Per-(task, activation) training defaults: learning rate, scale, decay,
-# epochs, width, depth. Plain relu has no published setting and borrows
-# the relu-pe learning rate of its task.
+# Per-(task, --act) defaults by flag, and the Activation kind. Plain relu has
+# no published setting and borrows the relu-pe learning rate of its task.
 DEFAULTS = {
-    ("ct", "bwrelu"): dict(lr=2e-3, scale=3.0),
-    ("ct", "sine"): dict(lr=1e-3, scale=25.0),
-    ("ct", "gauss"): dict(lr=5e-3, scale=10.0),
-    ("ct", "relu-pe"): dict(lr=3e-3, scale=None),
-    ("ct", "relu"): dict(lr=3e-3, scale=None),
-    ("sigrep", "bwrelu"): dict(lr=4e-3, scale=9.0),
-    ("sigrep", "sine"): dict(lr=2e-3, scale=50.0),
-    ("sigrep", "gauss"): dict(lr=1e-3, scale=10.0),
-    ("sigrep", "relu-pe"): dict(lr=4e-3, scale=None),
-    ("sigrep", "relu"): dict(lr=4e-3, scale=None),
-    ("superres", "bwrelu"): dict(lr=3e-3, scale=3.0),
-    ("superres", "sine"): dict(lr=2e-3, scale=12.0),
-    ("superres", "gauss"): dict(lr=3e-3, scale=6.0),
-    ("superres", "relu-pe"): dict(lr=4e-3, scale=None),
-    ("superres", "relu"): dict(lr=4e-3, scale=None),
+    ("ct", "bwrelu"): dict(kind="bwrelu", lr=2e-3, c=3.0),
+    ("ct", "sine"): dict(kind="sine", lr=1e-3, c=25.0),
+    ("ct", "gauss"): dict(kind="gaussian", lr=5e-3, c=10.0),
+    ("ct", "relu-pe"): dict(kind="relu", lr=3e-3, pe_levels=10),
+    ("ct", "relu"): dict(kind="relu", lr=3e-3),
+    ("sigrep", "bwrelu"): dict(kind="bwrelu", lr=4e-3, c=9.0),
+    ("sigrep", "sine"): dict(kind="sine", lr=2e-3, c=50.0),
+    ("sigrep", "gauss"): dict(kind="gaussian", lr=1e-3, c=10.0),
+    ("sigrep", "relu-pe"): dict(kind="relu", lr=4e-3, pe_levels=10),
+    ("sigrep", "relu"): dict(kind="relu", lr=4e-3),
+    ("superres", "bwrelu"): dict(kind="bwrelu", lr=3e-3, c=3.0),
+    ("superres", "sine"): dict(kind="sine", lr=2e-3, c=12.0),
+    ("superres", "gauss"): dict(kind="gaussian", lr=3e-3, c=6.0),
+    ("superres", "relu-pe"): dict(kind="relu", lr=4e-3, pe_levels=10),
+    ("superres", "relu"): dict(kind="relu", lr=4e-3),
 }
 TASK_DEFAULTS = {
-    "ct": dict(epochs=10000, decay=0.1, width=300, depth=3),
-    "sigrep": dict(epochs=1000, decay=0.1, width=300, depth=3),
-    "superres": dict(epochs=2000, decay=0.2, width=256, depth=3),
+    "ct": dict(epochs=10000, decay=0.1, width=300, layers=3),
+    "sigrep": dict(epochs=1000, decay=0.1, width=300, layers=3),
+    "superres": dict(epochs=2000, decay=0.2, width=256, layers=3),
 }
-
-_GENERATED_IMAGE = re.compile(r"^(shepp-logan|scene):(\d+)$")
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):  # exact flags only: --c is not --c-list
-        super().__init__(allow_abbrev=False, **kwargs)
+    """Exact flags only (--c is not --c-list); a flag without a default is
+    absent unless given, so the tables' and make_task's are the only ones."""
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, argument_default=argparse.SUPPRESS, **kwargs)
+
+    def _get_values(self, action, arg_strings):  # argparse 3.11 reads "--width=--" as []
+        if arg_strings == ["--"] and action.option_strings:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         raise ConfigurationError(message)
 
 
 def resolve_image(spec):
-    """Either a path to a PGM file or 'shepp-logan:N' / 'scene:N'."""
-    m = _GENERATED_IMAGE.match(spec)
-    if m:
-        name, size = m.group(1), int(m.group(2))
-        if size < 4:
-            raise ConfigurationError(f"generated image too small: {spec}")
-        return assets.shepp_logan(size) if name == "shepp-logan" else assets.synthetic_scene(size)
-    return load_image(spec)
+    """A PGM path, or 'shepp-logan:N' / 'scene:N' with N >= 4 of at most 9 digits."""
+    name, colon, size = spec.partition(":")
+    if not colon or name not in ("shepp-logan", "scene"):
+        return load_image(spec)
+    try:
+        size = _digits(9)(size)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigurationError(f"--image {name}:N: {exc}") from None
+    if size < 4:
+        raise ConfigurationError(f"generated image too small: {spec}")
+    return assets.shepp_logan(size) if name == "shepp-logan" else assets.synthetic_scene(size)
 
 
 def experiment_config(args):
-    """Translate the flags of ``args.task`` into a validated TrainConfig.
-
+    """Translate the flags of ``args.task`` into a validated TrainConfig:
+    the flags given override DEFAULTS, which override TASK_DEFAULTS.
     ``Activation`` rejects a ``--c`` for relu and relu-pe, and a scale
-    that is not finite and positive for the others.
-    """
-    base = TASK_DEFAULTS[args.task]
-    act_defaults = DEFAULTS[(args.task, args.act)]
-    pe_levels = args.pe_levels
-    if args.act == "relu-pe":
-        pe_levels = 10 if pe_levels is None else pe_levels
-    elif pe_levels is not None:
+    that is not finite and positive for the others."""
+    if "pe_levels" in vars(args) and args.act != "relu-pe":
         raise ConfigurationError(f"--pe-levels needs --act relu-pe, not {args.act}")
-    kind = {"gauss": "gaussian", "relu-pe": "relu"}.get(args.act, args.act)
+    flags = {**TASK_DEFAULTS[args.task], **DEFAULTS[(args.task, args.act)], **vars(args)}
     try:
-        activation = Activation(kind, act_defaults["scale"] if args.c is None else args.c)
+        activation = Activation(flags["kind"], flags.get("c"))
     except ConfigurationError as exc:
         raise ConfigurationError(f"--c for --act {args.act}: {exc}") from exc
     return TrainConfig(
         activation=activation,
-        epochs=args.epochs if args.epochs is not None else base["epochs"],
-        lr0=args.lr if args.lr is not None else act_defaults["lr"],
-        decay=args.decay if args.decay is not None else base["decay"],
-        width=args.width if args.width is not None else base["width"],
-        depth=args.layers if args.layers is not None else base["depth"],
+        epochs=flags["epochs"],
+        lr0=flags["lr"],
+        decay=flags["decay"],
+        width=flags["width"],
+        depth=flags["layers"],
         weight_decay=args.wd,
         seed=args.seed,
         log_every=args.log_every,
-        pe_levels=pe_levels,
+        pe_levels=flags.get("pe_levels"),
         target_loss=args.target_loss,
         track_feature_condition=args.track_cond,
     )
@@ -129,7 +130,6 @@ def experiment_config(args):
 def _config_and_task(args):
     """Check every flag, then build (cfg, task): a rejected flag builds nothing."""
     cfg = experiment_config(args)
-    # n_angles (--angles) and factor are in args only when given.
     operator = {k: v for k, v in vars(args).items() if k in ("n_angles", "factor")}
     if set(operator) - {{"ct": "n_angles", "superres": "factor"}.get(args.task)}:
         raise ConfigurationError("--angles is for task ct, --factor for superres")
@@ -273,25 +273,38 @@ def _add_training(p, with_act=True):
     if with_act:
         p.add_argument("--act", default="bwrelu",
                        choices=sorted({act for _, act in DEFAULTS}))
-        p.add_argument("--c", type=float, default=None,
+        p.add_argument("--c", type=float,
                        help="c / omega0 / sigma0; relu and relu-pe take none")
-        p.add_argument("--pe-levels", type=int, default=None,
+        p.add_argument("--pe-levels", type=_digits(9),
                        help="Fourier levels of relu-pe (default 10)")
-        p.add_argument("--track-cond", action="store_true",
+        p.add_argument("--track-cond", action="store_true", default=False,
                        help="log feature-Gram condition numbers")
     else:
-        p.set_defaults(act="bwrelu", c=None, pe_levels=None, track_cond=False)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None,
+        p.set_defaults(act="bwrelu", track_cond=False)
+    p.add_argument("--width", type=_digits(9))
+    p.add_argument("--layers", type=_digits(9),
                    help="number of hidden layers")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--decay", type=float)
+    p.add_argument("--epochs", type=_digits(9))
     p.add_argument("--wd", type=float, default=0.0, help="weight decay")
-    p.add_argument("--log-every", type=int, default=None)
+    p.add_argument("--log-every", type=_digits(9), default=None)
     p.add_argument("--target-loss", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_digits(640), default=0)
     p.add_argument("--out", default="out")
+
+
+def _digits(most):
+    """Argparse type: an int of 1 to ``most`` ASCII digits (9 stay inside numpy's
+    index range, 640 inside ``int``'s digit limit under any setting)."""
+
+    def parse(text):
+        if not (len(text) <= most and text.isascii() and text.isdigit()):
+            raise argparse.ArgumentTypeError(
+                f"expected 1 to {most} ASCII digits, got {reprlib.repr(text)}")
+        return int(text)
+
+    return parse
 
 
 def _distinct(kind):
@@ -301,7 +314,7 @@ def _distinct(kind):
         values = [kind(tok) for tok in text.split(",") if tok]
         if not values or len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(
-                f"needs one or more distinct values, got {values}")
+                f"needs one or more distinct values, got {reprlib.repr(values)}")
         return values
 
     parse.__name__ = f"{kind.__name__} list"  # argparse's name for a bad token
@@ -312,10 +325,7 @@ def build_parser():
     parser = _Parser(prog="bwinr", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    # Absent unless given, so make_task's defaults (100, 4) are the only ones.
-    angles = dict(dest="n_angles", metavar="ANGLES", type=int,
-                  default=argparse.SUPPRESS)
-    factor = dict(type=int, default=argparse.SUPPRESS)
+    angles = dict(dest="n_angles", metavar="ANGLES", type=_digits(9))
 
     p = sub.add_parser("fit", help="fit an image directly")
     _add_training(p)
@@ -328,22 +338,22 @@ def build_parser():
 
     p = sub.add_parser("superres", help="super-resolution")
     _add_training(p)
-    p.add_argument("--factor", **factor)
+    p.add_argument("--factor", type=_digits(9))
     p.set_defaults(func=cmd_train, task="superres")
 
     p = sub.add_parser("conditioning", help="Gram spectra reports")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_digits(640), default=0,
                    help="no effect: nothing here is random")
     p.add_argument("--out", default="out")
-    p.add_argument("--j-max", type=int, default=8)
-    p.add_argument("--k-list", type=_distinct(int), default=[8, 16, 32, 64, 128, 256])
+    p.add_argument("--j-max", type=_digits(9), default=8)
+    p.add_argument("--k-list", type=_distinct(_digits(9)), default=[8, 16, 32, 64, 128, 256])
     p.set_defaults(func=cmd_conditioning)
 
     p = sub.add_parser("vnorm-sweep", help="PSNR vs variation norm over scales")
     _add_training(p, with_act=False)
     p.add_argument("--task", default="ct", choices=sorted(TASK_DEFAULTS))
     p.add_argument("--angles", **angles)
-    p.add_argument("--factor", **factor)
+    p.add_argument("--factor", type=_digits(9))
     p.add_argument("--c-list", type=_distinct(float), default=[1.0, 2.0, 3.0, 5.0])
     p.set_defaults(func=cmd_vnorm_sweep)
     return parser

@@ -5,6 +5,7 @@ exactly.
 """
 
 import re
+import reprlib
 
 import numpy as np
 
@@ -30,14 +31,16 @@ def _parse_pgm(data):
         raise ValueError("malformed PGM header")
     width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
-        raise ValueError(f"PGM dimensions must be positive, got {width}x{height}")
+        raise ValueError(f"PGM dimensions must be positive, got "
+                         f"{reprlib.repr(width)}x{reprlib.repr(height)}")
     if maxval != 255:
-        raise ValueError(f"only 8-bit PGM supported, maxval={maxval}")
+        raise ValueError(f"only 8-bit PGM supported, maxval={reprlib.repr(maxval)}")
     pos = header.end()
     expected = width * height
     payload = data[pos:pos + expected]
     if len(payload) != expected:
-        raise ValueError(f"expected {expected} pixel bytes at byte {pos}, found {len(payload)}")
+        raise ValueError(f"expected {reprlib.repr(expected)} pixel bytes at byte {pos}, "
+                         f"found {len(payload)}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
 
 

@@ -12,6 +12,9 @@ round-trip exactly; see ``save_checkpoint``.
 """
 
 import base64
+import itertools
+import math
+import re
 import reprlib
 from dataclasses import dataclass
 
@@ -306,12 +309,19 @@ def _fields(lines, pos, tag):
     return tokens[1:]
 
 
+# What ``kind`` may read: plain ASCII digits for an int; for a float, digits
+# with an optional fraction and signed exponent, inf or nan.
+_NUMBER_FORMS = {int: r"[0-9]+", float: r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?|inf)|nan"}
+
+
 def _number(token, kind=int):
     """``kind(token)``, if ``token`` is in the form ``save_checkpoint`` writes:
-    the value's ``repr``, plain ASCII digits for an int, and at most 640
-    characters (``int`` converts 640 digits under any limit setting)."""
-    value = kind(token) if len(token) <= 640 else None
-    if repr(value) != token or kind is int and not token.isdigit():
+    the value's ``repr``, in ``_NUMBER_FORMS``, and at most 640 characters
+    (``int`` converts 640 digits under any limit setting). The form is
+    checked first, so ``kind`` never sees a token it cannot read."""
+    form = len(token) <= 640 and re.fullmatch(_NUMBER_FORMS[kind], token)
+    value = kind(token) if form else None
+    if value is None or repr(value) != token:
         raise InvalidInputError(f"malformed number {reprlib.repr(token)}")
     return value
 
@@ -333,11 +343,13 @@ def _parse_checkpoint(data):
     if pos + 1 != len(lines):
         raise InvalidInputError(f"unexpected content at line {pos + 2}")
     shapes = [(s.out_dim, s.in_dim) for s in specs] + [(s.out_dim,) for s in specs]
-    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    # Python ints: a huge dim gives a huge count, not numpy's OverflowError.
+    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
     raw = base64.b64decode(data, validate=True)
     values = np.frombuffer(raw, "<f8", count=len(raw) // 8).astype(float)
     if len(raw) != 8 * ends[-1] or not np.all(np.isfinite(values)):
-        raise InvalidInputError(f"data: expected {ends[-1]} finite float64 values")
+        raise InvalidInputError(
+            f"data: expected {reprlib.repr(ends[-1])} finite float64 values")
     arrays = [v.reshape(shape) for v, shape in zip(np.split(values, ends[:-1]), shapes)]
     n = len(specs)
     return NetworkParams(specs, arrays[:n], arrays[n:], _number(seed))

@@ -1,3 +1,4 @@
+import ast
 import errno
 import os
 import re
@@ -152,6 +153,17 @@ class TestFit:
         assert params.seed == 3
         header, rows = read_table(out / "vnorm.csv")
         assert header == ["layer", "vnorm"]
+
+    def test_640_digit_seed_round_trips_through_the_checkpoint(self, tmp_path):
+        # 640 digits is the longest seed load_checkpoint reads back.
+        seed = "9" * 640
+        out = tmp_path / "run"
+        code = run([
+            "fit", "--image", "scene:8", "--epochs", "1", "--width", "8",
+            "--layers", "1", "--seed", seed, "--out", str(out),
+        ])
+        assert code == 0
+        assert load_checkpoint(out / "checkpoint.txt").seed == int(seed)
 
     def test_short_training_run(self, tmp_path):
         out = tmp_path / "run"
@@ -441,6 +453,66 @@ class TestExitCodes:
             f"configuration error: argument {flag}: needs one or more distinct "
             f"values, got {values}\n"
         )
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--image", "scene:99999999999999999999", "--epochs", "1"],
+        ["fit", "--image", "scene:" + "1" * 5000],
+        ["fit", "--image", "scene:8", "--width", "1" + "0" * 20, "--epochs", "1"],
+        ["ct", "--image", "shepp-logan:8", "--angles", "1" + "0" * 20, "--epochs", "1"],
+        ["fit", "--image", "scene:8", "--layers", "1" + "0" * 20, "--epochs", "1"],
+        ["fit", "--image", "scene:8", "--width", "1_0"],
+        ["fit", "--image", "scene:8", "--width", " 5"],
+        ["fit", "--image", "scene:8", "--width", "+3"],
+        ["fit", "--image", "scene:8", "--width", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+        ["fit", "--image", "scene:8", "--seed", "\uff11\uff12"],  # FULLWIDTH 12
+        ["fit", "--image", "scene:8", "--seed", "1" * 641],
+        ["fit", "--image", "scene:8", "--epochs", "1" * 5000],
+        ["fit", "--image", "scene:8", "--width=--"],
+    ], ids=["image-size-huge", "image-size-5000-digits", "width-huge", "angles-huge",
+            "layers-huge", "width-underscore", "width-space", "width-plus",
+            "width-arabic-indic", "seed-fullwidth", "seed-641-digits",
+            "epochs-5000-digits", "width-double-dash"])
+    def test_integer_outside_the_grammar_is_one_short_line(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # None is 1 to 9 ASCII digits (640 for --seed); int() reads several
+        # and numpy fails on the huge ones. Each is one short line, before any
+        # task, training or output directory.
+        monkeypatch.setattr(bwinr.cli, "make_task", _built_too_early)
+        monkeypatch.setattr(bwinr.cli, "train", _trained_too_early)
+        out = tmp_path / "o"
+        code = run([*command, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert len(err) < 200
+        assert not out.exists()
+
+    def test_long_repeated_list_is_shortened(self, tmp_path, capsys):
+        code = run(["conditioning", "--k-list", ",".join(["8"] * 3000),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "configuration error: argument --k-list: needs one or more distinct "
+            "values, got [8, 8, 8, 8, 8, 8, ...]\n"
+        )
+
+    def test_integer_flags_are_read_only_by_digits(self):
+        # int() reads 1_0, +3, " 5" and other scripts' digits, and raises past
+        # its digit limit: no flag type and no code outside _digits uses it.
+        tree = ast.parse(Path(bwinr.cli.__file__).read_text())
+        types = {ast.unparse(kw.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) for kw in node.keywords if kw.arg == "type"}
+        assert "int" not in types
+        # The scans find the flags' types and _digits' one int() call, so an
+        # empty result is not a scan that finds nothing.
+        assert {"_digits(9)", "_digits(640)", "_distinct(_digits(9))"} <= types
+        owners = [
+            getattr(top, "name", "<module>")
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == "int"
+        ]
+        assert owners == ["_digits"]
 
     @pytest.mark.parametrize("flags", [
         ["--c-list", ",", "--target-loss", "1e-3"],

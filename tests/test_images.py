@@ -1,3 +1,4 @@
+import reprlib
 import time
 
 import numpy as np
@@ -69,6 +70,17 @@ class TestLoadPgm:
         with pytest.raises(ImageIOError) as info:
             load_image(path)
         assert str(info.value) == f"{path}: malformed PGM header"
+
+    def test_long_size_is_shortened_in_the_message(self, tmp_path):
+        # Within the header's 640 digits; the message shortens width * height.
+        path = tmp_path / "wide.pgm"
+        header = b"P5\n" + b"1" * 600 + b" 1\n255\n"
+        path.write_bytes(header + bytes(10))
+        with pytest.raises(ImageIOError) as info:
+            load_image(path)
+        count = reprlib.repr(int("1" * 600))
+        assert str(info.value) == (
+            f"{path}: expected {count} pixel bytes at byte {len(header)}, found 10")
 
     def test_comment_right_after_a_number(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -1,4 +1,5 @@
 import base64
+import reprlib
 import sys
 import tracemalloc
 
@@ -595,6 +596,33 @@ class TestCheckpoint:
         message = str(info.value)
         assert message.startswith(f"{path}: malformed number '111")
         assert len(message) < len(str(path)) + 60
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("bwrelu 3.0", "bwrelu " + "x" * 600, "malformed number 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        ("bwrelu 3.0", "k" * 3000 + " 3.0", "unknown activation kind 'kkkkkkkkkkkk...kkkkkkkkkkkkk'"),
+    ], ids=["scale-600-letters", "kind-3000-letters"])
+    def test_unreadable_token_is_the_packages_short_message(self, tmp_path, old, new, message):
+        # The package's message, with the token shortened, not float()'s.
+        path = tmp_path / "net.txt"
+        save_checkpoint(init_network(mlp_specs([2, 3, 1], BW3), 0), path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(InvalidInputError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+        assert len(str(info.value)) < len(str(path)) + 200
+
+    def test_huge_layer_dims_fail_as_a_short_data_count(self, tmp_path):
+        # The count, 2n + n + n + 1 values, is a Python int (numpy's prod
+        # overflows on 30-digit dims), shortened in the message.
+        n = 10**29
+        path = tmp_path / "net.txt"
+        save_checkpoint(init_network(mlp_specs([2, 3, 1], BW3), 0), path)
+        text = path.read_text().replace("layer 2 3", f"layer 2 {n}")
+        path.write_text(text.replace("layer 3 1", f"layer {n} 1"))
+        with pytest.raises(InvalidInputError) as info:
+            load_checkpoint(path)
+        count = reprlib.repr(4 * n + 1)
+        assert str(info.value) == f"{path}: data: expected {count} finite float64 values"
 
     def test_trailing_content_rejected(self, tmp_path):
         p = init_network(mlp_specs([1, 2, 1], BW3), 0)
